@@ -1,35 +1,10 @@
-"""CSV writing and worker-pool plumbing shared by result types and the command line."""
+"""Deterministic CSV writing shared by result types and the command line."""
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-
-def worker_count() -> int:
-    """Worker cap from TFP_THREADS; defaults to the CPU count, at most 8."""
-    raw = os.environ.get("TFP_THREADS", "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError(f"TFP_THREADS must be a positive integer, got {raw!r}") from None
-        if n < 1:
-            raise ValueError(f"TFP_THREADS must be a positive integer, got {raw!r}")
-        return n
-    return min(os.cpu_count() or 1, 8)
-
-
-def parallel_map(fn, items):
-    """Order-preserving map over items, threaded when more than one worker is allowed."""
-    items = list(items)
-    workers = min(worker_count(), len(items))
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def format_float(v: float) -> str:

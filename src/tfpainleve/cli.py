@@ -3,8 +3,8 @@
 Subcommands: painleve | groundstate | spectrum | bs | study.  Configuration is
 a key=value text file (--config); results land in --out as CSV files with
 fixed column schemas plus a summary.txt, and --plots adds minimal SVG line
-plots.  TFP_THREADS caps the worker count; output is byte-identical for a
-given config regardless of workers.  Exit codes: 0 success, 1 bad
+plots.  Studies run one eps at a time in a single thread, so output is
+byte-identical for a given config.  Exit codes: 0 success, 1 bad
 configuration, 2 first failing stage (named on standard error).
 """
 
@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from ._io import format_float, parallel_map, write_csv
+from ._io import format_float, write_csv
 from .corrections import build_corrections
 from .groundstate import composite_eta, energy, remainder_study, solve_ground_state
 from .painleve import solve_hastings_mcleod, w0_min
@@ -95,8 +95,8 @@ def validate_config(cfg: dict) -> None:
     for e in cfg["eps"]:
         if not 0.0 < e <= 0.5:
             raise ConfigError(f"eps values must lie in (0, 0.5], got {e}")
-    if not 0 <= cfg["order"] <= 3:
-        raise ConfigError(f"order must be between 0 and 3, got {cfg['order']}")
+    if not 1 <= cfg["order"] <= 3:
+        raise ConfigError(f"order must be between 1 and 3, got {cfg['order']}")
     if cfg["y_min"] > -15.0 or cfg["y_max"] < 30.0:
         raise ConfigError(
             f"layer grid [{cfg['y_min']}, {cfg['y_max']}] must cover [-15, 30]"
@@ -245,9 +245,7 @@ def cmd_painleve(cfg, out, plots, stages) -> None:
 def cmd_groundstate(cfg, out, plots, stages) -> None:
     d = cfg["dimension"]
     sol = stages.run("painleve", lambda: _solve_painleve(cfg))
-    cset = stages.run(
-        "corrections", lambda: build_corrections(sol, d, order=max(cfg["order"], 1))
-    )
+    cset = stages.run("corrections", lambda: build_corrections(sol, d, order=cfg["order"]))
 
     def one(eps):
         gs = solve_ground_state(
@@ -258,7 +256,7 @@ def cmd_groundstate(cfg, out, plots, stages) -> None:
         return gs, comp
 
     eps_list = sorted(set(cfg["eps"]), reverse=True)
-    results = stages.run("groundstate", lambda: parallel_map(one, eps_list))
+    results = stages.run("groundstate", lambda: [one(eps) for eps in eps_list])
     stages.current = "output"
     summary = []
     for eps, (gs, comp) in zip(eps_list, results):
@@ -275,7 +273,7 @@ def cmd_groundstate(cfg, out, plots, stages) -> None:
 
 def cmd_spectrum(cfg, out, plots, stages) -> None:
     sol = stages.run("painleve", lambda: _solve_painleve(cfg))
-    cset = stages.run("corrections", lambda: build_corrections(sol, 1, order=max(cfg["order"], 1)))
+    cset = stages.run("corrections", lambda: build_corrections(sol, 1, order=cfg["order"]))
     table = stages.run(
         "scaling",
         lambda: scaling_study(
@@ -332,7 +330,7 @@ def cmd_study(cfg, out, plots, stages) -> None:
     d = cfg["dimension"]
     sol = stages.run("painleve", lambda: _solve_painleve(cfg))
     sol.to_csv(os.path.join(out, "painleve.csv"))
-    order = max(cfg["order"], 1)
+    order = cfg["order"]
     cset = stages.run("corrections", lambda: build_corrections(sol, d, order=order))
     cset.to_csv(os.path.join(out, "corrections.csv"))
     remainder = stages.run(
@@ -343,24 +341,27 @@ def cmd_study(cfg, out, plots, stages) -> None:
     cset1 = cset if d == 1 else stages.run(
         "corrections", lambda: build_corrections(sol, 1, order=order)
     )
-    scaling = stages.run(
-        "scaling",
-        lambda: scaling_study(
-            sol, cset1, cfg["eps"], n_pairs=cfg["n_pairs"],
-            nodes_per_layer=cfg["nodes_per_layer"], gs_tol=cfg["gs_tol"], eig_tol=cfg["eig_tol"],
-        ),
-    )
+    levels = tuple(sorted(set(cfg["bs_levels"])))
+
+    def scaling_table():
+        # one M0 solve serves both the scaling table and the Bohr-Sommerfeld table
+        k = max(cfg["n_pairs"], levels[-1])
+        mu = eig_smallest(assemble_M0(sol), k, tol=cfg["eig_tol"], label="M0").eigenvalues
+        table = scaling_study(
+            sol, cset1, cfg["eps"], n_pairs=cfg["n_pairs"], nodes_per_layer=cfg["nodes_per_layer"],
+            gs_tol=cfg["gs_tol"], eig_tol=cfg["eig_tol"], mu=mu,
+        )
+        return mu, table
+
+    mu, scaling = stages.run("scaling", scaling_table)
     scaling.to_csv(os.path.join(out, "scaling.csv"))
 
     def bs_table():
         profile = from_solution(sol)
-        levels = tuple(sorted(set(cfg["bs_levels"])))
-        mu_bs = np.array([bs_eigenvalue(profile, n) for n in levels])
-        report = eig_smallest(assemble_M0(sol), max(levels), tol=cfg["eig_tol"], label="M0")
-        mu_m0 = np.array([report.eigenvalues[n - 1] for n in levels])
-        return levels, mu_bs, mu_m0
+        return np.array([bs_eigenvalue(profile, n) for n in levels])
 
-    levels, mu_bs, mu_m0 = stages.run("bs", bs_table)
+    mu_bs = stages.run("bs", bs_table)
+    mu_m0 = np.array([mu[n - 1] for n in levels])
     stages.current = "output"
     write_csv(
         os.path.join(out, "bs.csv"),

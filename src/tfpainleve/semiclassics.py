@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -183,6 +184,17 @@ def _branch_positions(W: PotentialProfile, targets, inner: float, outer: float):
     return 0.5 * (a + b)
 
 
+@lru_cache(maxsize=1)
+def _phase_rule():
+    """Gauss-Legendre nodes and weights on [0, pi/2], built once per process."""
+    xg, wg = roots_legendre(_GL_NODES)
+    phi = 0.25 * math.pi * (xg + 1.0)
+    weights = 0.25 * math.pi * wg
+    phi.setflags(write=False)
+    weights.setflags(write=False)
+    return phi, weights
+
+
 def action(W: PotentialProfile, mu: float) -> float:
     """Classically allowed action int sqrt(mu - W) dy between the turning points.
 
@@ -191,9 +203,7 @@ def action(W: PotentialProfile, mu: float) -> float:
     2 T^3 sin^2(phi) cos(phi) / |W'| on [0, pi/2].
     """
     y_minus, y_plus = turning_points(W, mu)
-    xg, wg = roots_legendre(_GL_NODES)
-    phi = 0.25 * math.pi * (xg + 1.0)
-    weights = 0.25 * math.pi * wg
+    phi, weights = _phase_rule()
     sin_phi = np.sin(phi)
     base = float(W(W.well_location))
     t2 = mu - base

@@ -6,9 +6,10 @@ are the eps^(2/3)-scaled limits of the trap linearization
     L+ = -eps^2 d^2/dx^2 + 3 eta^2 - 1 + x^2,
 
 a double-well operator whose spectrum splits into even / odd sectors solved on
-the half line with a Neumann / Dirichlet condition at the origin.  Eigenvalues
-come from Sturm-count bisection refined by inverse iteration with a
-Rayleigh-quotient update; the scaling study tabulates lambda / eps^(2/3)
+the half line with a Neumann / Dirichlet condition at the origin.  Eigenpairs
+come from LAPACK Sturm-count bisection (dstebz) and inverse iteration (dstein)
+through scipy, and are accepted only after a residual check, with the
+Rayleigh quotient reported; the scaling study tabulates lambda / eps^(2/3)
 against mu_n, and decay certificates bound |u_m(y)| by C_m exp(-|y|).
 
 The certificates are for the discrete M0 eigenvectors of unit l2 norm (so C_m
@@ -23,16 +24,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
-from ._io import parallel_map, write_csv
+from ._io import write_csv
 from .corrections import CorrectionSet
 from .grids import (
-    SingularPivotError,
     TridiagonalOperator,
     first_difference,
     from_boundary_layer,
     make_operator,
-    solve_tridiagonal,
     uniform_grid,
 )
 from .groundstate import GroundState, solve_ground_state
@@ -40,7 +40,6 @@ from .painleve import ConvergenceError, PainleveSolution, w0_eval
 
 _BOUNDARY_TAGS = ("Neumann", "Dirichlet", "FullLine")
 _POSITIVE_TAGS = ("M0", "LplusNeumann", "LplusDirichlet", "LplusFullLine")
-_VECTOR_SEED = 20240917
 
 
 @dataclass(frozen=True)
@@ -131,18 +130,6 @@ def operator_nodes(gs: GroundState, bc: str) -> np.ndarray:
     return np.concatenate([-r[-2:0:-1], r[:-1]])
 
 
-def _sturm_count(diag, b2, shifts, pivmin):
-    """Number of eigenvalues below each shift (negative-pivot count)."""
-    q = diag[0] - shifts
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    count = (q < 0.0).astype(np.int64)
-    for i in range(1, diag.size):
-        q = diag[i] - shifts - b2[i - 1] / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        count += q < 0.0
-    return count
-
-
 def eig_smallest(
     op: TridiagonalOperator,
     k: int,
@@ -152,94 +139,51 @@ def eig_smallest(
     nodes: np.ndarray | None = None,
     tol: float = 1e-10,
 ) -> SpectrumReport:
-    """k smallest eigenvalues by Sturm bisection plus Rayleigh refinement.
+    """k smallest eigenvalues by LAPACK Sturm bisection, checked by Rayleigh quotients.
 
-    Bisection brackets each eigenvalue inside the Gershgorin interval to an
-    absolute width of tol times the interval scale; inverse iteration from the
-    bracket midpoint then supplies the eigenvector whose Rayleigh quotient is
-    the reported eigenvalue.  Iterates are orthogonalized against previously
-    converged vectors of near-degenerate clusters, so exponentially close
-    double-well pairs are still resolved.
+    LAPACK dstebz bisects Sturm counts for the eigenvalues and dstein supplies
+    the eigenvectors by inverse iteration, reorthogonalizing clusters, so
+    exponentially close double-well pairs are still resolved.  Each returned
+    pair must have residual |A u - lambda u| <= 64 eps_mach times the
+    Gershgorin scale; the reported eigenvalue is the Rayleigh quotient of its
+    vector, which may drift from the bisection value by at most
+    max(100 tol, 1e-8) times that scale.  Each vector's largest-magnitude
+    entry is positive.
     """
     if not op.symmetric:
         raise ValueError("eig_smallest needs a symmetric operator")
     n = op.n
     if not 1 <= k <= n:
         raise ValueError(f"k = {k} out of range for operator size {n}")
-    diag = op.diag
-    b2 = op.sub * op.sub
     rad = np.zeros(n)
     rad[:-1] += np.abs(op.sub)
     rad[1:] += np.abs(op.sub)
-    lo0 = float(np.min(diag - rad))
-    hi0 = float(np.max(diag + rad))
-    scale = max(abs(lo0), abs(hi0))
+    scale = max(abs(float(np.min(op.diag - rad))), abs(float(np.max(op.diag + rad))))
     if scale == 0.0:
         raise ValueError("zero operator")
-    gap_tol = tol * scale
-    pivmin = np.finfo(float).tiny * max(float(b2.max()), 1.0)
+    try:
+        approx, vecs = eigh_tridiagonal(
+            op.diag, op.sub, select="i", select_range=(0, k - 1), lapack_driver="stebz"
+        )
+    except LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK tridiagonal eigensolve failed: {exc}") from exc
 
-    lo = np.full(k, lo0)
-    hi = np.full(k, hi0)
-    target = np.arange(1, k + 1)
-    steps = max(int(math.ceil(math.log2(max((hi0 - lo0) / gap_tol, 2.0)))) + 2, 8)
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        above = _sturm_count(diag, b2, mid, pivmin) >= target
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-        if float(np.max(hi - lo)) <= gap_tol:
-            break
-    else:
-        raise ConvergenceError("Sturm bisection failed to shrink its brackets")
-    approx = 0.5 * (lo + hi)
-
-    # refinement: inverse iteration + Rayleigh quotient
-    spread = hi0 - lo0
-    cluster_tol = 100.0 * gap_tol
+    tv = np.column_stack([op.apply(u) for u in vecs.T])
+    evals = np.einsum("ij,ij->j", vecs, tv)
+    residual = np.linalg.norm(tv - evals * vecs, axis=0)
     res_tol = 64.0 * np.finfo(float).eps * scale
-    rng = np.random.default_rng(_VECTOR_SEED)
-    evals = np.empty(k)
-    vecs = np.empty((n, k))
+    drift_tol = max(100.0 * tol * scale, 1e-8 * scale)
     for j in range(k):
-        mates = [jj for jj in range(j) if abs(approx[j] - evals[jj]) < cluster_tol]
-        sigma = approx[j]
-        u = rng.standard_normal(n)
-        u /= np.linalg.norm(u)
-        rq = approx[j]
-        for _ in range(50):
-            shifted = make_operator(op.sub, diag - sigma, op.sup)
-            try:
-                v = solve_tridiagonal(shifted, u)
-            except SingularPivotError:
-                sigma += 1e-8 * spread
-                continue
-            if not np.all(np.isfinite(v)):
-                sigma += 1e-8 * spread
-                continue
-            for jj in mates:  # deflate the converged cluster mates
-                v -= (vecs[:, jj] @ v) * vecs[:, jj]
-            nv = np.linalg.norm(v)
-            if nv == 0.0:
-                sigma += 1e-8 * spread
-                continue
-            v /= nv
-            tv = op.apply(v)
-            rq = float(v @ tv)
-            u = v
-            if np.linalg.norm(tv - rq * v) <= res_tol:
-                break
-        else:
-            raise ConvergenceError(f"inverse iteration stagnated for eigenvalue {j + 1}")
-        if abs(rq - approx[j]) > max(100.0 * gap_tol, 1e-8 * scale):
+        if not residual[j] <= res_tol:
             raise ConvergenceError(
-                f"Rayleigh refinement drifted from its bracket for eigenvalue {j + 1}"
+                f"eigenpair {j + 1} residual {residual[j]:.3e} exceeds {res_tol:.3e}"
             )
-        imax = int(np.argmax(np.abs(u)))
-        if u[imax] < 0.0:
-            u = -u
-        evals[j] = rq
-        vecs[:, j] = u
+        if abs(evals[j] - approx[j]) > drift_tol:
+            raise ConvergenceError(
+                f"Rayleigh quotient drifted from its bisection value for eigenvalue {j + 1}"
+            )
+    imax = np.argmax(np.abs(vecs), axis=0)
+    vecs *= np.where(vecs[imax, np.arange(k)] < 0.0, -1.0, 1.0)
 
     return SpectrumReport(
         operator=label,
@@ -295,21 +239,28 @@ def scaling_study(
     nodes_per_layer: int = 40,
     gs_tol: float = 1e-8,
     eig_tol: float = 1e-10,
+    mu=None,
 ) -> ScalingTable:
     """Tabulate lambda_{2n-1}, lambda_{2n} and their eps^(2/3) scalings vs mu_n.
 
-    Ground states are seeded with the composite approximation; eps values are
-    processed concurrently (worker cap TFP_THREADS) and assembled in
-    descending eps order regardless of completion order.
+    Ground states are seeded with the composite approximation and solved one
+    eps at a time in descending order.  ``mu`` supplies M0 eigenvalues
+    mu_1, mu_2, ... (at least n_pairs of them) when the caller has already
+    solved M0 for ``sol``; otherwise the n_pairs smallest are computed here.
     """
     if cset.dimension != 1:
         raise ValueError(f"scaling study needs d=1 corrections, got d={cset.dimension}")
     eps_arr = np.asarray(sorted(set(float(e) for e in eps_list), reverse=True))
     if eps_arr.size == 0:
         raise ValueError("empty eps list")
-    mu = eig_smallest(assemble_M0(sol), n_pairs, label="M0", tol=eig_tol).eigenvalues
+    if mu is None:
+        mu = eig_smallest(assemble_M0(sol), n_pairs, label="M0", tol=eig_tol).eigenvalues
+    elif len(mu) < n_pairs:
+        raise ValueError(f"mu holds {len(mu)} M0 eigenvalues, need n_pairs = {n_pairs}")
 
-    def one(eps: float):
+    rows_eps, rows_n = [], []
+    l_odd, l_even, s_odd, s_even, mus, gaps = [], [], [], [], [], []
+    for eps in eps_arr:
         gs = solve_ground_state(
             eps, 1, nodes_per_layer=nodes_per_layer, tol=gs_tol,
             painleve_sol=sol, correction_set=cset,
@@ -320,12 +271,6 @@ def scaling_study(
         lam_d = eig_smallest(
             assemble_Lplus(gs, "Dirichlet"), n_pairs, label="LplusDirichlet", eps=eps, tol=eig_tol
         ).eigenvalues
-        return lam_n, lam_d
-
-    results = parallel_map(one, eps_arr)
-    rows_eps, rows_n = [], []
-    l_odd, l_even, s_odd, s_even, mus, gaps = [], [], [], [], [], []
-    for eps, (lam_n, lam_d) in zip(eps_arr, results):
         s = eps ** (2.0 / 3.0)
         for i in range(n_pairs):
             rows_eps.append(eps)

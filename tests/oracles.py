@@ -2,8 +2,9 @@
 
 Everything here is deliberately built from different machinery than the
 package: adaptive Runge-Kutta shooting instead of the damped-Newton boundary
-value solve, dense symmetric eigensolvers instead of Sturm bisection,
-extended-precision inverse iteration instead of double-precision eigenvectors,
+value solve, dense symmetric eigensolvers and a numpy Sturm count instead of
+the LAPACK tridiagonal eigensolver, extended-precision inverse iteration
+instead of double-precision eigenvectors,
 direct enumeration instead of the generator, and symbolic quadrature instead
 of the trapezoid energy.  None of these helpers import from tfpainleve.
 """
@@ -103,6 +104,27 @@ def tail_coefficients(n_max: int = 8) -> tuple:
     return tuple(int(known[B[n]] * 2 ** sp.Rational(3 * n, 2)) for n in range(n_max + 1))
 
 
+def sturm_count(op, shifts) -> np.ndarray:
+    """Number of eigenvalues of a symmetric tridiagonal op below each shift.
+
+    Counts the negative pivots of op - shift I (Sylvester's law of inertia),
+    row by row in numpy for all shifts at once; tiny pivots are replaced by
+    -pivmin so the recurrence never divides by zero.
+    """
+    diag = np.asarray(op.diag, dtype=float)
+    b2 = np.asarray(op.sub, dtype=float) ** 2
+    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
+    pivmin = np.finfo(float).tiny * max(float(b2.max(initial=0.0)), 1.0)
+    q = diag[0] - shifts
+    q = np.where(np.abs(q) < pivmin, -pivmin, q)
+    count = (q < 0.0).astype(np.int64)
+    for i in range(1, diag.size):
+        q = diag[i] - shifts - b2[i - 1] / q
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        count += q < 0.0
+    return count
+
+
 def dense_smallest(op, k: int) -> np.ndarray:
     """k smallest eigenvalues of a TridiagonalOperator via LAPACK dense eigh."""
     return np.linalg.eigvalsh(op.dense())[:k]
@@ -129,11 +151,13 @@ def mp_decay_constants(op, nodes, k: int, dps: int = 40):
 def _mp_decay_constants(diag_b: bytes, sub_b: bytes, nodes_b: bytes, k: int, dps: int):
     """Extended-precision inverse iteration, cached on the raw operator bytes.
 
-    The shifts are the LAPACK (dstebz) eigenvalues in double precision; the
-    vectors come from inverse iteration at ``dps`` digits on the same matrix
-    entries, so entries far below double-precision roundoff (|u| ~ 1e-45 at
-    the grid ends) are resolved and e^{|y|} amplifies no noise.  The maxima
-    run over the whole grid with no window.
+    The shifts are the LAPACK (dstebz) eigenvalues in double precision, the
+    same routine the package uses, so they are not what makes this an
+    oracle: an eigenvector does not depend on the shift's last digits, and
+    the vectors come from inverse iteration at ``dps`` digits on the same
+    matrix entries, so entries far below double-precision roundoff
+    (|u| ~ 1e-45 at the grid ends) are resolved and e^{|y|} amplifies no
+    noise.  The maxima run over the whole grid with no window.
     """
     import mpmath
     from scipy.linalg import eigh_tridiagonal

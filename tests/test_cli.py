@@ -70,6 +70,7 @@ def test_load_config_errors(tmp_path):
         ("n_pairs", 0, "n_pairs"),
         ("bs_levels", (), "bs_levels"),
         ("bs_levels", (0, 2), "bs_levels"),
+        ("order", 0, "order"),
     ],
 )
 def test_validate_config_rejects(key, value, fragment):
@@ -153,7 +154,7 @@ def test_main_study_small(tmp_path):
     assert abs(float(summary["mu_1"]) - 2.410531) < 1e-3
 
 
-def test_main_outputs_are_deterministic(tmp_path, monkeypatch):
+def test_main_outputs_are_deterministic(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "eps = 0.1, 0.05\n"
@@ -164,12 +165,10 @@ def test_main_outputs_are_deterministic(tmp_path, monkeypatch):
         "y_max = 32\n"
     )
     outputs = []
-    for threads, name in (("1", "first"), ("2", "second")):
-        monkeypatch.setenv("TFP_THREADS", threads)
+    for name in ("first", "second"):
         out = tmp_path / name
         assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
         outputs.append(
             ((out / "spectrum.csv").read_bytes(), (out / "summary.txt").read_bytes())
         )
-    # worker count must not leak into the numbers
     assert outputs[0] == outputs[1]

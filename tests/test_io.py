@@ -1,9 +1,7 @@
-import time
-
 import numpy as np
 import pytest
 
-from tfpainleve._io import format_float, parallel_map, worker_count, write_csv
+from tfpainleve._io import format_float, write_csv
 
 
 def test_format_float_round_trips():
@@ -29,29 +27,3 @@ def test_write_csv_validation(tmp_path):
         write_csv(tmp_path / "x.csv", ["a"], [np.zeros(2), np.zeros(2)])
     with pytest.raises(ValueError, match="same length"):
         write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(2), np.zeros(3)])
-
-
-def test_worker_count_from_environment(monkeypatch):
-    monkeypatch.setenv("TFP_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("TFP_THREADS", "abc")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv("TFP_THREADS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.delenv("TFP_THREADS")
-    assert 1 <= worker_count() <= 8
-
-
-def test_parallel_map_preserves_order(monkeypatch):
-    def jitter(i):
-        time.sleep(0.01 * (5 - i % 5))
-        return i * i
-
-    items = list(range(10))
-    expected = [i * i for i in items]
-    monkeypatch.setenv("TFP_THREADS", "4")
-    assert parallel_map(jitter, items) == expected
-    monkeypatch.setenv("TFP_THREADS", "1")
-    assert parallel_map(jitter, items) == expected

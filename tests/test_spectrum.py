@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
+import tfpainleve.spectrum as spectrum_module
 from tfpainleve import (
+    ConvergenceError,
     SpectrumReport,
     assemble_Lplus,
     assemble_M0,
@@ -44,6 +46,33 @@ def test_sturm_matches_dense_oracle_on_random_operator():
     op = make_operator(off, diag, off)
     mine = eig_smallest(op, 10).eigenvalues
     np.testing.assert_allclose(mine, oracles.dense_smallest(op, 10), atol=1e-9)
+
+
+@pytest.mark.parametrize("which", ["M0", "Neumann", "Dirichlet", "FullLine"])
+def test_eigenpairs_pass_sturm_count_oracle(which, sol, gs1_eps01):
+    if which == "M0":
+        op, k, label = assemble_M0(sol), 8, "M0"
+    else:
+        op = assemble_Lplus(gs1_eps01, which)
+        k, label = (8 if which == "FullLine" else 4), f"Lplus{which}"
+    report = eig_smallest(op, k, want_vectors=True, label=label)
+    lam, vecs = report.eigenvalues, report.eigenvectors
+    # exactly j eigenvalues below the midpoint of lambda_j and lambda_{j+1}
+    mids = 0.5 * (lam[:-1] + lam[1:])
+    np.testing.assert_array_equal(oracles.sturm_count(op, mids), np.arange(1, k))
+    # largest-magnitude entry positive, unit l2 columns
+    cols = np.arange(k)
+    assert np.all(vecs[np.argmax(np.abs(vecs), axis=0), cols] > 0.0)
+    np.testing.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, atol=1e-13)
+    # residual gate 64 eps_mach times the Gershgorin scale, from the bands directly
+    d, b = np.asarray(op.diag), np.asarray(op.sub)
+    rad = np.concatenate([np.abs(b), [0.0]]) + np.concatenate([[0.0], np.abs(b)])
+    scale = max(abs(np.min(d - rad)), abs(np.max(d + rad)))
+    av = d[:, None] * vecs
+    av[1:] += b[:, None] * vecs[:-1]
+    av[:-1] += b[:, None] * vecs[1:]
+    residual = np.linalg.norm(av - lam * vecs, axis=0)
+    assert np.all(residual <= 64.0 * np.finfo(float).eps * scale)
 
 
 def test_harmonic_surrogate_eigenvalues_closed_form():
@@ -141,6 +170,26 @@ def test_eig_smallest_validation(gs1_eps01):
         eig_smallest(lop, 1)
 
 
+def test_eig_smallest_rejects_inaccurate_pairs(monkeypatch):
+    op = make_operator(-np.ones(49), np.full(50, 2.0), -np.ones(49))
+    exact = spectrum_module.eigh_tridiagonal
+
+    def rough_vectors(*args, **kwargs):
+        w, v = exact(*args, **kwargs)
+        return w, v + 1e-6
+
+    def shifted_values(*args, **kwargs):
+        w, v = exact(*args, **kwargs)
+        return w + 1e-3, v
+
+    monkeypatch.setattr(spectrum_module, "eigh_tridiagonal", rough_vectors)
+    with pytest.raises(ConvergenceError, match="residual"):
+        eig_smallest(op, 3)
+    monkeypatch.setattr(spectrum_module, "eigh_tridiagonal", shifted_values)
+    with pytest.raises(ConvergenceError, match="drifted"):
+        eig_smallest(op, 3)
+
+
 def test_decay_certificates(m0_report, sol):
     certs = decay_check(m0_report, sol)
     assert [c.m for c in certs] == list(range(1, 9))
@@ -191,3 +240,5 @@ def test_scaling_study_validation(sol, cset1, cset2):
         scaling_study(sol, cset2, (0.1,))
     with pytest.raises(ValueError, match="empty"):
         scaling_study(sol, cset1, ())
+    with pytest.raises(ValueError, match="n_pairs"):
+        scaling_study(sol, cset1, (0.1,), n_pairs=2, mu=[2.41])
