@@ -1,4 +1,4 @@
-"""Deterministic CSV writing shared by result types and the command line."""
+"""Deterministic text output shared by result types and the command line."""
 
 from __future__ import annotations
 
@@ -10,6 +10,14 @@ import numpy as np
 def format_float(v: float) -> str:
     # 17 significant digits, enough to round-trip a double exactly
     return f"{v:.16e}"
+
+
+def write_lines(path, lines) -> None:
+    """Write lines, each ending in a newline, through a temporary file and os.replace."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    os.replace(tmp, path)
 
 
 def write_csv(path, header, columns) -> None:
@@ -24,7 +32,4 @@ def write_csv(path, header, columns) -> None:
     lines = [",".join(header)]
     for i in range(n):
         lines.append(",".join(format_float(c[i]) for c in columns))
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_lines(path, lines)

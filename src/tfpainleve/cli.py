@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from ._io import format_float, write_csv
+from ._io import format_float, write_csv, write_lines
 from .corrections import build_corrections
 from .groundstate import composite_eta, energy, remainder_study, solve_ground_state
 from .painleve import solve_hastings_mcleod, w0_min
@@ -187,18 +187,12 @@ def _svg_plot(path, title, series, logx=False, logy=False):
                 f'<text x="{ml - 6}" y="{sy + 4}" text-anchor="end" font-size="12">{label}</text>'
             )
     parts.append("</svg>")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        f.write("\n".join(parts) + "\n")
-    os.replace(tmp, path)
+    write_lines(path, parts)
 
 
 def _write_summary(path, pairs) -> None:
-    lines = [f"{key}={format_float(val) if isinstance(val, float) else val}" for key, val in pairs]
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_lines(path, [f"{key}={format_float(val) if isinstance(val, float) else val}"
+                       for key, val in pairs])
 
 
 class _Stages:
@@ -271,6 +265,45 @@ def cmd_groundstate(cfg, out, plots, stages) -> None:
         _svg_plot(os.path.join(out, "groundstate.svg"), f"Ground states, d={d}", series)
 
 
+def _bs_levels(cfg) -> tuple:
+    return tuple(sorted(set(cfg["bs_levels"])))
+
+
+def _m0_eigenvalues(cfg, sol, k):
+    return eig_smallest(assemble_M0(sol), k, tol=cfg["eig_tol"], label="M0").eigenvalues
+
+
+def _bs_table(sol, levels, mu, out, stages):
+    """Bohr-Sommerfeld energies of ``levels`` against the M0 eigenvalues ``mu``, into bs.csv.
+
+    Runs the quadrature as stage "bs"; returns (mu_bs, mu_m0, relative error).
+    """
+
+    def table():
+        profile = from_solution(sol)
+        return np.array([bs_eigenvalue(profile, n) for n in levels])
+
+    mu_bs = stages.run("bs", table)
+    stages.current = "output"
+    mu_m0 = np.array([mu[n - 1] for n in levels])
+    rel = np.abs(mu_bs - mu_m0) / mu_m0
+    write_csv(
+        os.path.join(out, "bs.csv"),
+        ["n", "mu_bs", "mu_m0", "rel_err"],
+        [np.asarray(levels, dtype=float), mu_bs, mu_m0, rel],
+    )
+    return mu_bs, mu_m0, rel
+
+
+def _scaling_plot(path, table, n_pairs) -> None:
+    series = []
+    for i in range(n_pairs):
+        pick = table.n == i + 1
+        series.append((f"scaled odd n={i + 1}", table.eps[pick], table.scaled_odd[pick]))
+        series.append((f"scaled even n={i + 1}", table.eps[pick], table.scaled_even[pick]))
+    _svg_plot(path, "Scaled eigenvalues vs eps", series)
+
+
 def cmd_spectrum(cfg, out, plots, stages) -> None:
     sol = stages.run("painleve", lambda: _solve_painleve(cfg))
     cset = stages.run("corrections", lambda: build_corrections(sol, 1, order=cfg["order"]))
@@ -289,33 +322,14 @@ def cmd_spectrum(cfg, out, plots, stages) -> None:
         [(f"mu_{i + 1}", float(m)) for i, m in enumerate(mu)],
     )
     if plots:
-        series = []
-        for i in range(cfg["n_pairs"]):
-            pick = table.n == i + 1
-            series.append((f"scaled odd n={i + 1}", table.eps[pick], table.scaled_odd[pick]))
-            series.append((f"scaled even n={i + 1}", table.eps[pick], table.scaled_even[pick]))
-        _svg_plot(os.path.join(out, "spectrum.svg"), "Scaled eigenvalues vs eps", series)
+        _scaling_plot(os.path.join(out, "spectrum.svg"), table, cfg["n_pairs"])
 
 
 def cmd_bs(cfg, out, plots, stages) -> None:
     sol = stages.run("painleve", lambda: _solve_painleve(cfg))
-    levels = tuple(sorted(set(cfg["bs_levels"])))
-
-    def table():
-        profile = from_solution(sol)
-        mu_bs = np.array([bs_eigenvalue(profile, n) for n in levels])
-        report = eig_smallest(assemble_M0(sol), max(levels), tol=cfg["eig_tol"], label="M0")
-        mu_m0 = np.array([report.eigenvalues[n - 1] for n in levels])
-        return mu_bs, mu_m0
-
-    mu_bs, mu_m0 = stages.run("bs", table)
-    stages.current = "output"
-    rel = np.abs(mu_bs - mu_m0) / mu_m0
-    write_csv(
-        os.path.join(out, "bs.csv"),
-        ["n", "mu_bs", "mu_m0", "rel_err"],
-        [np.asarray(levels, dtype=float), mu_bs, mu_m0, rel],
-    )
+    levels = _bs_levels(cfg)
+    mu = stages.run("bs", lambda: _m0_eigenvalues(cfg, sol, levels[-1]))
+    mu_bs, mu_m0, rel = _bs_table(sol, levels, mu, out, stages)
     _write_summary(os.path.join(out, "summary.txt"), [("max_rel_err", float(rel.max()))])
     if plots:
         ns = np.asarray(levels, dtype=float)
@@ -341,12 +355,11 @@ def cmd_study(cfg, out, plots, stages) -> None:
     cset1 = cset if d == 1 else stages.run(
         "corrections", lambda: build_corrections(sol, 1, order=order)
     )
-    levels = tuple(sorted(set(cfg["bs_levels"])))
+    levels = _bs_levels(cfg)
 
     def scaling_table():
         # one M0 solve serves both the scaling table and the Bohr-Sommerfeld table
-        k = max(cfg["n_pairs"], levels[-1])
-        mu = eig_smallest(assemble_M0(sol), k, tol=cfg["eig_tol"], label="M0").eigenvalues
+        mu = _m0_eigenvalues(cfg, sol, max(cfg["n_pairs"], levels[-1]))
         table = scaling_study(
             sol, cset1, cfg["eps"], n_pairs=cfg["n_pairs"], nodes_per_layer=cfg["nodes_per_layer"],
             gs_tol=cfg["gs_tol"], eig_tol=cfg["eig_tol"], mu=mu,
@@ -355,19 +368,7 @@ def cmd_study(cfg, out, plots, stages) -> None:
 
     mu, scaling = stages.run("scaling", scaling_table)
     scaling.to_csv(os.path.join(out, "scaling.csv"))
-
-    def bs_table():
-        profile = from_solution(sol)
-        return np.array([bs_eigenvalue(profile, n) for n in levels])
-
-    mu_bs = stages.run("bs", bs_table)
-    mu_m0 = np.array([mu[n - 1] for n in levels])
-    stages.current = "output"
-    write_csv(
-        os.path.join(out, "bs.csv"),
-        ["n", "mu_bs", "mu_m0", "rel_err"],
-        [np.asarray(levels, dtype=float), mu_bs, mu_m0, np.abs(mu_bs - mu_m0) / mu_m0],
-    )
+    _bs_table(sol, levels, mu, out, stages)
     _write_summary(
         os.path.join(out, "summary.txt"),
         [
@@ -385,12 +386,7 @@ def cmd_study(cfg, out, plots, stages) -> None:
             logx=True,
             logy=True,
         )
-        series = []
-        for i in range(cfg["n_pairs"]):
-            pick = scaling.n == i + 1
-            series.append((f"scaled odd n={i + 1}", scaling.eps[pick], scaling.scaled_odd[pick]))
-            series.append((f"scaled even n={i + 1}", scaling.eps[pick], scaling.scaled_even[pick]))
-        _svg_plot(os.path.join(out, "scaling.svg"), "Scaled eigenvalues vs eps", series)
+        _scaling_plot(os.path.join(out, "scaling.svg"), scaling, cfg["n_pairs"])
 
 
 _COMMANDS = {

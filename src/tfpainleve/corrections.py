@@ -143,7 +143,7 @@ def far_field_split(sol: PainleveSolution, dimension: int):
 
 def _linear_solve(sol: PainleveSolution, rhs: np.ndarray) -> np.ndarray:
     """Solve (-4 D2 + W0) v = rhs with zero Dirichlet rows at both ends."""
-    h = sol.grid.require_uniform("correction solve")
+    h = sol.grid.spacing
     n = sol.grid.n
     sub = np.full(n - 1, -4.0 / h**2)
     sup = np.full(n - 1, -4.0 / h**2)

@@ -1,4 +1,4 @@
-"""Grids, tridiagonal operators, and the trap-to-layer coordinate map."""
+"""Uniform grids, tridiagonal operators, and the trap-to-layer coordinate map."""
 
 from __future__ import annotations
 
@@ -18,32 +18,30 @@ class SingularPivotError(ValueError):
 
 @dataclass(frozen=True)
 class Grid1D:
-    """One-dimensional grid, uniform or graded, with nodes in increasing order.
+    """Uniform one-dimensional grid with nodes in increasing order.
 
-    ``spacing`` is the scalar step for uniform grids and the array of interval
-    widths for graded ones.  Instances are immutable after construction.
+    ``spacing`` is the scalar step ``nodes[1] - nodes[0]``; nodes whose steps
+    differ from it beyond rounding are rejected.  Instances are immutable
+    after construction.
     """
 
     nodes: np.ndarray
-    kind: str
-    spacing: object = field(default=None)
+    spacing: float = field(init=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 3:
             raise ValueError(f"need at least 3 nodes in one dimension, got shape {nodes.shape}")
-        if np.any(np.diff(nodes) <= 0.0):
+        steps = np.diff(nodes)
+        if np.any(steps <= 0.0):
             raise ValueError("grid nodes must be strictly increasing")
-        if self.kind not in ("uniform", "graded"):
-            raise ValueError(f"unknown grid kind {self.kind!r}")
+        # linspace rounding moves each step by a few ulps of the largest |node|
+        slack = 64.0 * np.finfo(float).eps * float(np.abs(nodes).max())
+        if np.any(np.abs(steps - steps[0]) > slack):
+            raise ValueError("grid nodes must be uniformly spaced")
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
-        if self.kind == "uniform":
-            object.__setattr__(self, "spacing", float(nodes[1] - nodes[0]))
-        else:
-            widths = np.diff(nodes)
-            widths.setflags(write=False)
-            object.__setattr__(self, "spacing", widths)
+        object.__setattr__(self, "spacing", float(steps[0]))
 
     @property
     def n(self) -> int:
@@ -57,38 +55,11 @@ class Grid1D:
     def b(self) -> float:
         return float(self.nodes[-1])
 
-    def require_uniform(self, what: str) -> float:
-        if self.kind != "uniform":
-            raise ValueError(f"{what} requires a uniform grid")
-        return self.spacing
-
 
 def uniform_grid(a: float, b: float, n: int) -> Grid1D:
     if not b > a:
         raise ValueError(f"empty interval [{a}, {b}]")
-    return Grid1D(np.linspace(a, b, n), "uniform")
-
-
-def graded_grid(a: float, b: float, n: int, focus: float = 0.0, strength: float = 2.0) -> Grid1D:
-    """Grid clustered around ``focus`` by a sinh stretch of a uniform parameter.
-
-    ``strength`` = 0 recovers the uniform grid; larger values concentrate more
-    nodes near the focus.  Endpoints are preserved exactly.
-    """
-    if not a <= focus <= b:
-        raise ValueError(f"focus {focus} outside [{a}, {b}]")
-    if strength < 0.0:
-        raise ValueError(f"strength must be nonnegative, got {strength}")
-    t = np.linspace(-1.0, 1.0, n)
-    if strength == 0.0:
-        s = t
-    else:
-        # sinh warp: ds/dt is smallest at t=0, so nodes bunch at the focus
-        s = np.sinh(strength * t) / np.sinh(strength)
-    # map [-1, 0] onto [a, focus] and [0, 1] onto [focus, b]
-    nodes = np.where(s < 0.0, focus + s * (focus - a), focus + s * (b - focus))
-    nodes[0], nodes[-1] = a, b
-    return Grid1D(nodes, "graded")
+    return Grid1D(np.linspace(a, b, n))
 
 
 @dataclass(frozen=True)
@@ -127,12 +98,6 @@ class TridiagonalOperator:
         out[:-1] += self.sup * v[1:]
         out[1:] += self.sub * v[:-1]
         return out
-
-    def dense(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        a += np.diag(self.sub, -1)
-        a += np.diag(self.sup, 1)
-        return a
 
 
 def make_operator(sub, diag, sup) -> TridiagonalOperator:
@@ -195,26 +160,19 @@ def second_difference(values: np.ndarray, grid: Grid1D) -> np.ndarray:
 def first_difference(values: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Discrete first derivative.
 
-    Uniform grids get the 5-point fourth-order interior stencil; graded grids
-    and the near-boundary nodes fall back to the centered / one-sided
-    second-order formulas.
+    The 5-point fourth-order stencil at interior nodes, the centered
+    second-order formula next to each end and one-sided second-order formulas
+    at the ends.
     """
     v = np.asarray(values, dtype=float)
     x = grid.nodes
     if v.shape != x.shape:
         raise ValueError(f"values shape {v.shape} does not match grid size {x.size}")
     out = np.empty_like(v)
-    if grid.kind == "uniform" and x.size >= 5:
-        h = grid.spacing
-        out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-        out[1] = (v[2] - v[0]) / (2.0 * h)
-        out[-2] = (v[-1] - v[-3]) / (2.0 * h)
-    else:
-        hl = x[1:-1] - x[:-2]
-        hr = x[2:] - x[1:-1]
-        out[1:-1] = (hl**2 * v[2:] - hr**2 * v[:-2] + (hr**2 - hl**2) * v[1:-1]) / (
-            hl * hr * (hl + hr)
-        )
+    h = grid.spacing
+    out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
+    out[1] = (v[2] - v[0]) / (2.0 * h)
+    out[-2] = (v[-1] - v[-3]) / (2.0 * h)
     out[0] = _fd_weights(x[:3], x[0], 1) @ v[:3]
     out[-1] = _fd_weights(x[-3:], x[-1], 1) @ v[-3:]
     return out

@@ -17,8 +17,8 @@ from scipy.interpolate import CubicSpline
 
 from ._io import write_csv
 from .corrections import CorrectionSet, composite_nu
-from .grids import Grid1D, first_difference, make_operator, solve_tridiagonal, to_boundary_layer, uniform_grid
-from .painleve import ConvergenceError, PainleveSolution, tail_minus
+from .grids import Grid1D, first_difference, to_boundary_layer, uniform_grid
+from .painleve import ConvergenceError, PainleveSolution, damped_newton, tail_minus
 
 _CONTINUATION_START = 0.3
 _NEGATIVE_SLACK = 1e-12
@@ -87,43 +87,27 @@ def _residual(eta, r, h, eps, d):
 
 
 def _newton(eta, r, h, eps, d, tol, max_iterations):
-    res = _residual(eta, r, h, eps, d)
-    rnorm = float(np.abs(res).max())
     n = r.size
     e2 = eps * eps
-    iterations = 0
-    while rnorm > tol:
-        if iterations >= max_iterations:
-            raise ConvergenceError(
-                f"ground state Newton stalled at eps={eps:g}, residual {rnorm:.3e}"
-            )
-        sub = np.empty(n - 1)
-        sup = np.empty(n - 1)
+    inv_r = (d - 1.0) / r[1:-1]
+    sub = np.empty(n - 1)
+    sup = np.empty(n - 1)
+    sub[:-1] = e2 * (1.0 / h**2 - inv_r / (2.0 * h))
+    sup[1:] = e2 * (1.0 / h**2 + inv_r / (2.0 * h))
+    sup[0] = 2.0 * d * e2 / h**2
+    sub[-1] = 0.0
+
+    def jacobian(eta):
         diag = np.empty(n)
-        inv_r = (d - 1.0) / r[1:-1]
-        sub[:-1] = e2 * (1.0 / h**2 - inv_r / (2.0 * h))
-        sup[1:] = e2 * (1.0 / h**2 + inv_r / (2.0 * h))
         diag[1:-1] = -2.0 * e2 / h**2 + (1.0 - r[1:-1] ** 2) - 3.0 * eta[1:-1] ** 2
         diag[0] = -2.0 * d * e2 / h**2 + 1.0 - 3.0 * eta[0] ** 2
-        sup[0] = 2.0 * d * e2 / h**2
         diag[-1] = 1.0
-        sub[-1] = 0.0
-        delta = solve_tridiagonal(make_operator(sub, diag, sup), -res)
-        step = 1.0
-        for _ in range(40):
-            cand = eta + step * delta
-            cres = _residual(cand, r, h, eps, d)
-            cnorm = float(np.abs(cres).max())
-            if cnorm < rnorm:
-                break
-            step *= 0.5
-        else:
-            raise ConvergenceError(
-                f"ground state damping exhausted at eps={eps:g}, residual {rnorm:.3e}"
-            )
-        eta, res, rnorm = cand, cres, cnorm
-        iterations += 1
-    return eta, rnorm, iterations
+        return sub, diag, sup
+
+    return damped_newton(
+        lambda eta: _residual(eta, r, h, eps, d), jacobian, eta, tol, max_iterations,
+        what=f"ground state Newton at eps={eps:g}",
+    )
 
 
 def solve_ground_state(
@@ -157,7 +141,7 @@ def solve_ground_state(
         grid = default_grid(eps, r_max=max(r_max, r_need), nodes_per_layer=nodes_per_layer)
     elif grid.b < r_need - 1e-12:
         raise ValueError(f"r_max = {grid.b:g} too small for eps = {eps:g}; need >= {r_need:g}")
-    h = grid.require_uniform("ground state solve")
+    h = grid.spacing
     r = grid.nodes
     if r[0] != 0.0:
         raise ValueError(f"radial grid must start at r = 0, got {r[0]}")

@@ -4,6 +4,7 @@ The layer profile nu0 solves 4 nu'' + y nu - nu^3 = 0, grows like sqrt(y) on
 the right, and decays to zero through an Airy-type tail on the left.  This
 module computes its asymptotic series, solves the two-point problem by damped
 Newton iteration, and evaluates the linearization potential W0 = 3 nu0^2 - y.
+Its ``damped_newton`` kernel also serves the ground-state solve.
 """
 
 from __future__ import annotations
@@ -21,6 +22,43 @@ from .grids import Grid1D, first_difference, make_operator, solve_tridiagonal, u
 
 class ConvergenceError(RuntimeError):
     """Raised when a damped Newton iteration fails to reach its tolerance."""
+
+
+def damped_newton(residual, jacobian, x0, tol, max_iterations, floor=None, what="Newton"):
+    """Newton iteration on a tridiagonal Jacobian, halving each step until the residual drops.
+
+    ``jacobian(x)`` returns the (sub, diag, sup) bands at ``x``.  A step halved
+    40 times without lowering the max-norm residual ends the iteration: as
+    converged when the residual is at or below ``floor(x)``, else with a
+    ``ConvergenceError``.  Returns (x, residual max-norm, iterations).
+    """
+    x = x0
+    res = residual(x)
+    rnorm = float(np.abs(res).max())
+    iterations = 0
+    while rnorm > tol:
+        if iterations >= max_iterations:
+            raise ConvergenceError(
+                f"{what} stalled after {iterations} iterations, residual {rnorm:.3e}"
+            )
+        delta = solve_tridiagonal(make_operator(*jacobian(x)), -res)
+        step = 1.0
+        for _ in range(40):
+            cand = x + step * delta
+            cres = residual(cand)
+            cnorm = float(np.abs(cres).max())
+            if cnorm < rnorm:
+                break
+            step *= 0.5
+        else:
+            if floor is not None and rnorm <= floor(x):
+                break
+            raise ConvergenceError(
+                f"{what} damping exhausted at residual {rnorm:.3e} after {iterations} iterations"
+            )
+        x, res, rnorm = cand, cres, cnorm
+        iterations += 1
+    return x, rnorm, iterations
 
 
 @dataclass(frozen=True)
@@ -213,41 +251,21 @@ def solve_hastings_mcleod(
 
     nu = np.sqrt((y + np.sqrt(y * y + 4.0)) / 2.0)
     nu[0], nu[-1] = left, right
-    res = _newton_residual(nu, y, h, left, right)
-    rnorm = float(np.abs(res).max())
-    iterations = 0
-    while rnorm > tol:
-        if iterations >= max_iterations:
-            raise ConvergenceError(
-                f"Newton stalled after {iterations} iterations, residual {rnorm:.3e}"
-            )
-        sub = np.full(n_nodes - 1, 4.0 / h**2)
-        sup = np.full(n_nodes - 1, 4.0 / h**2)
+    sub = np.full(n_nodes - 1, 4.0 / h**2)
+    sup = sub.copy()
+    sub[-1] = sup[0] = 0.0
+
+    def jacobian(nu):
         diag = -8.0 / h**2 + y - 3.0 * nu * nu
         diag[0] = diag[-1] = 1.0
-        sub[-1] = 0.0
-        sup[0] = 0.0
-        op = make_operator(sub, diag, sup)
-        delta = solve_tridiagonal(op, -res)
-        step = 1.0
-        for _ in range(30):
-            cand = nu + step * delta
-            cres = _newton_residual(cand, y, h, left, right)
-            cnorm = float(np.abs(cres).max())
-            if cnorm < rnorm:
-                break
-            step *= 0.5
-        else:
-            # the difference stencil amplifies rounding to ~eps_mach |nu| / h^2;
-            # a stall at that floor is convergence, not failure
-            floor = 32.0 * np.finfo(float).eps * float(np.abs(nu).max()) / h**2
-            if rnorm <= floor:
-                break
-            raise ConvergenceError(
-                f"damping exhausted at residual {rnorm:.3e} after {iterations} iterations"
-            )
-        nu, res, rnorm = cand, cres, cnorm
-        iterations += 1
+        return sub, diag, sup
+
+    # the difference stencil amplifies rounding to ~eps_mach |nu| / h^2;
+    # a stall at that floor is convergence, not failure
+    nu, rnorm, iterations = damped_newton(
+        lambda nu: _newton_residual(nu, y, h, left, right), jacobian, nu, tol, max_iterations,
+        floor=lambda nu: 32.0 * np.finfo(float).eps * float(np.abs(nu).max()) / h**2,
+    )
 
     if np.any(nu <= 0.0):
         raise ConvergenceError("converged iterate is not strictly positive")

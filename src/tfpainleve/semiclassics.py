@@ -17,7 +17,6 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import roots_legendre
 
-from .groundstate import GroundState
 from .painleve import ConvergenceError, PainleveSolution
 
 _GL_NODES = 200
@@ -255,43 +254,3 @@ def bs_eigenvalue(W: PotentialProfile, n: int, action_tol: float = 1e-9) -> floa
             lo, f_lo = mu, f_mu
     raise ConvergenceError(f"Bohr-Sommerfeld iteration stalled at level {n}")
 
-
-def bs_rule_x(gs: GroundState, n: int):
-    """Trap-coordinate rule int sqrt(lambda - V_eps) dx = eps pi (n - 1/2).
-
-    Diagnostic only: solved on the half-line branch of the double well
-    (turning points 0 < x_minus < 1 < x_plus).  Returns (lambda, lambda /
-    eps^(2/3)); the scaled value stays O(1) but does not converge to mu_n.
-    """
-    if gs.dimension != 1:
-        raise ValueError(f"trap-coordinate rule needs a d=1 profile, got d={gs.dimension}")
-    if n < 1:
-        raise ValueError(f"level index must be >= 1, got {n}")
-    r = gs.grid.nodes
-    v = 3.0 * gs.eta**2 - 1.0 + r * r
-    spline = CubicSpline(r, v)
-    profile = from_function(spline, gs.grid.a, gs.grid.b, derivative=spline.derivative())
-    target = gs.eps * math.pi * (n - 0.5)
-
-    lo, hi = profile.well_value, profile.well_value + 1.0
-    try:
-        while action(profile, hi) < target:
-            lo, hi = hi, profile.well_value + 2.0 * (hi - profile.well_value)
-    except ValueError as exc:
-        raise ConvergenceError(f"trap-coordinate bracket failure: {exc}") from exc
-    f_lo = (action(profile, lo) if lo > profile.well_value else 0.0) - target
-    f_hi = action(profile, hi) - target
-    lam = 0.5 * (lo + hi)
-    for _ in range(200):
-        if f_hi != f_lo:
-            lam = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < lam < hi:
-            lam = 0.5 * (lo + hi)
-        f_mid = action(profile, lam) - target
-        if abs(f_mid) <= 1e-12:
-            break
-        if f_mid > 0.0:
-            hi, f_hi = lam, f_mid
-        else:
-            lo, f_lo = lam, f_mid
-    return lam, lam / gs.eps ** (2.0 / 3.0)

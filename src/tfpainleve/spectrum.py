@@ -76,7 +76,7 @@ class SpectrumReport:
 
 def assemble_M0(sol: PainleveSolution) -> TridiagonalOperator:
     """Dirichlet discretization of -4 d^2/dy^2 + W0 on the interior layer nodes."""
-    h = sol.grid.require_uniform("M0 assembly")
+    h = sol.grid.spacing
     diag = 8.0 / h**2 + sol.w0[1:-1]
     off = np.full(diag.size - 1, -4.0 / h**2)
     return make_operator(off, diag, off)
@@ -100,7 +100,7 @@ def assemble_Lplus(gs: GroundState, bc: str) -> TridiagonalOperator:
         raise ValueError(f"L+ assembly needs a d=1 profile, got d={gs.dimension}")
     if bc not in _BOUNDARY_TAGS:
         raise ValueError(f"unknown boundary tag {bc!r}")
-    h = gs.grid.require_uniform("L+ assembly")
+    h = gs.grid.spacing
     r = gs.grid.nodes
     v = 3.0 * gs.eta**2 - 1.0 + r * r
     c = gs.eps**2 / h**2

@@ -125,9 +125,14 @@ def sturm_count(op, shifts) -> np.ndarray:
     return count
 
 
+def dense(op) -> np.ndarray:
+    """The full matrix of a TridiagonalOperator."""
+    return np.diag(op.diag) + np.diag(op.sub, -1) + np.diag(op.sup, 1)
+
+
 def dense_smallest(op, k: int) -> np.ndarray:
     """k smallest eigenvalues of a TridiagonalOperator via LAPACK dense eigh."""
-    return np.linalg.eigvalsh(op.dense())[:k]
+    return np.linalg.eigvalsh(dense(op))[:k]
 
 
 def mp_decay_constants(op, nodes, k: int, dps: int = 40):

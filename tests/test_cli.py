@@ -131,9 +131,11 @@ def test_main_stage_failure_is_exit_2(tmp_path, capsys):
     assert "stage bs failed" in capsys.readouterr().err
 
 
-def test_main_study_small(tmp_path):
-    out = tmp_path / "out"
-    cfg = tmp_path / "run.cfg"
+@pytest.fixture(scope="module")
+def study_small(tmp_path_factory):
+    """Config file and --plots output directory of a small `tfp study` run."""
+    root = tmp_path_factory.mktemp("study_small")
+    cfg = root / "run.cfg"
     cfg.write_text(
         "eps = 0.1, 0.05\n"
         "n_pairs = 2\n"
@@ -143,7 +145,13 @@ def test_main_study_small(tmp_path):
         "y_min = -18\n"
         "y_max = 32\n"
     )
+    out = root / "study"
     assert main(["study", "--config", str(cfg), "--out", str(out), "--plots"]) == 0
+    return cfg, out
+
+
+def test_main_study_small(study_small):
+    _, out = study_small
     for name in (
         "painleve.csv", "corrections.csv", "remainder.csv", "scaling.csv",
         "bs.csv", "summary.txt", "remainder.svg", "scaling.svg",
@@ -152,6 +160,17 @@ def test_main_study_small(tmp_path):
     summary = read_summary(out / "summary.txt")
     assert abs(float(summary["remainder_fit_order"]) - 2.0) < 0.6
     assert abs(float(summary["mu_1"]) - 2.410531) < 1e-3
+
+
+def test_main_bs_and_spectrum_match_study(study_small, tmp_path):
+    cfg, study = study_small
+    out = tmp_path / "out"
+    for command in ("bs", "spectrum"):
+        assert main([command, "--config", str(cfg), "--out", str(out), "--plots"]) == 0
+    assert (out / "bs.csv").read_bytes() == (study / "bs.csv").read_bytes()
+    assert (out / "spectrum.csv").read_bytes() == (study / "scaling.csv").read_bytes()
+    for name in ("bs.svg", "spectrum.svg"):
+        assert (out / name).read_text().startswith("<svg"), name
 
 
 def test_main_outputs_are_deterministic(tmp_path):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import dense
 from tfpainleve import (
     Grid1D,
     SingularPivotError,
     first_difference,
-    graded_grid,
     make_operator,
     second_difference,
     solve_tridiagonal,
@@ -18,7 +18,7 @@ def test_uniform_grid_basics():
     g = uniform_grid(-1.0, 2.0, 7)
     assert g.n == 7
     assert g.a == -1.0 and g.b == 2.0
-    assert g.require_uniform("test") == pytest.approx(0.5)
+    assert g.spacing == pytest.approx(0.5)
     np.testing.assert_allclose(np.diff(g.nodes), 0.5)
 
 
@@ -29,21 +29,16 @@ def test_uniform_grid_rejects_bad_bounds():
         uniform_grid(0.0, 1.0, 1)
 
 
-def test_graded_grid_monotone_with_endpoints():
-    g = graded_grid(0.0, 2.5, 101, focus=1.0, strength=4.0)
-    assert g.nodes[0] == pytest.approx(0.0)
-    assert g.nodes[-1] == pytest.approx(2.5)
-    assert np.all(np.diff(g.nodes) > 0.0)
-    # spacing tightens near the focus
-    h = np.diff(g.nodes)
-    near = np.abs(g.nodes[:-1] - 1.0) < 0.2
-    assert h[near].mean() < h[~near].mean()
-
-
-def test_require_uniform_raises_on_graded():
-    g = graded_grid(0.0, 1.0, 51, focus=0.5, strength=3.0)
-    with pytest.raises(ValueError, match="uniform"):
-        g.require_uniform("caller")
+def test_grid_rejects_nonuniform_nodes():
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        Grid1D(np.array([0.0, 0.1, 0.3, 0.4]))
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        Grid1D(np.linspace(0.0, 1.0, 51) ** 2)
+    with pytest.raises(ValueError, match="increasing"):
+        Grid1D(np.array([0.0, 1.0, 0.5]))
+    # linspace rounding on a shifted, scaled grid is not a spacing change
+    g = Grid1D(-(2.0 ** (-2.0 / 3.0)) * np.linspace(-20.0, 40.0, 6001)[::-1])
+    assert g.spacing == pytest.approx(0.01 * 2.0 ** (-2.0 / 3.0))
 
 
 def test_tridiagonal_solve_matches_dense(rng):
@@ -54,15 +49,15 @@ def test_tridiagonal_solve_matches_dense(rng):
     op = make_operator(sub, diag, sup)
     b = rng.standard_normal(n)
     x = solve_tridiagonal(op, b)
-    np.testing.assert_allclose(op.dense() @ x, b, atol=1e-12)
-    np.testing.assert_allclose(x, np.linalg.solve(op.dense(), b), atol=1e-11)
+    np.testing.assert_allclose(dense(op) @ x, b, atol=1e-12)
+    np.testing.assert_allclose(x, np.linalg.solve(dense(op), b), atol=1e-11)
 
 
 def test_tridiagonal_apply_matches_dense(rng):
     n = 17
     op = make_operator(rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1))
     v = rng.standard_normal(n)
-    np.testing.assert_allclose(op.apply(v), op.dense() @ v, atol=1e-13)
+    np.testing.assert_allclose(op.apply(v), dense(op) @ v, atol=1e-13)
 
 
 def test_singular_pivot_reported():
@@ -92,13 +87,6 @@ def test_second_difference_sine_accuracy():
     assert np.max(np.abs(d2 + np.sin(x))) <= 1e-4
 
 
-def test_second_difference_nonuniform():
-    g = graded_grid(0.0, 1.0, 201, focus=0.5, strength=2.0)
-    x = g.nodes
-    d2 = second_difference(x**2, g)
-    np.testing.assert_allclose(d2[1:-1], 2.0, atol=1e-8)
-
-
 def test_first_difference_accuracy():
     g = uniform_grid(0.0, 1.0, 101)
     x = g.nodes
@@ -106,6 +94,13 @@ def test_first_difference_accuracy():
     err = np.abs(d1 + np.sin(x))
     assert np.max(err[2:-2]) <= 1e-9  # fourth-order interior
     assert np.max(err) <= 1e-4  # second-order edge closure
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_first_difference_exact_on_quadratics_short_grids(n):
+    g = uniform_grid(-1.0, 2.0, n)
+    x = g.nodes
+    np.testing.assert_allclose(first_difference(x**2 - 3.0 * x, g), 2.0 * x - 3.0, atol=1e-12)
 
 
 def test_boundary_layer_maps_roundtrip():

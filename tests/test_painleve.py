@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from tfpainleve import (
+    ConvergenceError,
     bn_coefficients,
     second_difference,
     solve_hastings_mcleod,
@@ -12,6 +13,7 @@ from tfpainleve import (
     w0_min,
 )
 from tfpainleve.grids import Grid1D
+from tfpainleve.painleve import damped_newton
 
 
 def test_bn_recursion_first_terms():
@@ -29,7 +31,7 @@ def test_tail_plus_satisfies_equation():
     # the truncated series near y=35 solves the profile equation down to the
     # stencil's h^2 error, well inside the first-omitted-term scale
     y = np.linspace(34.0, 36.0, 161)
-    g = Grid1D(y, "uniform")
+    g = Grid1D(y)
     nu, dnu = tail_plus(y, bn_coefficients(6))
     res = 4.0 * second_difference(nu, g) + y * nu - nu**3
     first_omitted = 341024.0 * np.sqrt(35.0) * (2.0 * 35.0) ** -9
@@ -38,7 +40,7 @@ def test_tail_plus_satisfies_equation():
 
 def test_tail_plus_derivative_consistent():
     y = np.linspace(30.0, 40.0, 2001)
-    g = Grid1D(y, "uniform")
+    g = Grid1D(y)
     nu, dnu = tail_plus(y, bn_coefficients(6))
     fd = np.gradient(nu, y)
     np.testing.assert_allclose(dnu[5:-5], fd[5:-5], rtol=1e-6)
@@ -110,7 +112,7 @@ def test_standard_form_change_of_variables(sol):
     # nu0(y) = 2^(5/6) q(-2^(-2/3) y) with q'' = 2 q^3 + s q
     s = (-(2.0 ** (-2.0 / 3.0)) * sol.grid.nodes)[::-1]
     q = (2.0 ** (-5.0 / 6.0) * sol.nu0)[::-1]
-    sgrid = Grid1D(s, "uniform")
+    sgrid = Grid1D(s)
     res = second_difference(q, sgrid) - 2.0 * q**3 - s * q
     assert np.max(np.abs(res[1:-1])) <= 10.0 * sol.tol
 
@@ -158,3 +160,53 @@ def test_csv_serialization(sol, tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (sol.grid.n, 4)
     np.testing.assert_allclose(data[:, 1], sol.nu0, atol=1e-15)
+
+
+def _chain(b):
+    # x_{i-1} - 4 x_i + x_{i+1} - x_i^3 = b_i with x_0 = x_{n+1} = 0
+    def residual(x):
+        r = -4.0 * x - x**3 - b
+        r[1:] += x[:-1]
+        r[:-1] += x[1:]
+        return r
+
+    def jacobian(x):
+        off = np.ones(x.size - 1)
+        return off, -4.0 - 3.0 * x**2, off
+
+    return residual, jacobian
+
+
+def test_damped_newton_converges_on_tridiagonal_chain():
+    b = np.linspace(-3.0, 5.0, 9)
+    residual, jacobian = _chain(b)
+    x, rnorm, iterations = damped_newton(residual, jacobian, np.zeros(9), 1e-12, 50)
+    assert rnorm <= 1e-12 and 1 <= iterations <= 20
+    assert np.abs(residual(x)).max() == rnorm
+
+
+def _rounding_floor():
+    # 1e15 (x^2 - 2) has no floating-point root: |r| stalls near 0.4 at x ~ sqrt(2)
+    return (lambda x: 1e15 * (x * x - 2.0),
+            lambda x: (np.zeros(x.size - 1), 2e15 * x, np.zeros(x.size - 1)))
+
+
+def test_damped_newton_stall_at_floor_returns():
+    residual, jacobian = _rounding_floor()
+    x, rnorm, _ = damped_newton(residual, jacobian, np.ones(3), 1e-20, 50, floor=lambda x: 1.0)
+    assert rnorm <= 1.0
+    np.testing.assert_allclose(x, np.sqrt(2.0), rtol=1e-15)
+
+
+def test_damped_newton_stall_above_floor_raises():
+    residual, jacobian = _rounding_floor()
+    with pytest.raises(ConvergenceError, match="damping exhausted"):
+        damped_newton(residual, jacobian, np.ones(3), 1e-20, 50, floor=lambda x: 1e-3)
+    with pytest.raises(ConvergenceError, match="trial damping exhausted"):
+        damped_newton(residual, jacobian, np.ones(3), 1e-20, 50, what="trial")
+
+
+def test_damped_newton_iteration_budget_raises():
+    residual, jacobian = _chain(np.linspace(-3.0, 5.0, 9))
+    with pytest.raises(ConvergenceError, match="stalled after 1 iterations"):
+        damped_newton(residual, jacobian, np.zeros(9), 1e-12, 1)

@@ -7,7 +7,6 @@ from tfpainleve import (
     ConvergenceError,
     action,
     bs_eigenvalue,
-    bs_rule_x,
     from_function,
     from_solution,
     harmonic,
@@ -101,13 +100,3 @@ def test_bs_eigenvalue_validation():
     with pytest.raises(ConvergenceError, match="bracket failure"):
         bs_eigenvalue(simplified(), 75)
 
-
-def test_trap_coordinate_rule_stays_order_one(gs1_eps01):
-    lam, scaled = bs_rule_x(gs1_eps01, 1)
-    assert 0.0 < lam < 1.0
-    assert 0.5 < scaled < 5.0
-
-
-def test_trap_coordinate_rule_validation(gs1_eps01):
-    with pytest.raises(ValueError):
-        bs_rule_x(gs1_eps01, 0)
