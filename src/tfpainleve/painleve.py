@@ -27,10 +27,12 @@ class ConvergenceError(RuntimeError):
 def damped_newton(residual, jacobian, x0, tol, max_iterations, floor=None, what="Newton"):
     """Newton iteration on a tridiagonal Jacobian, halving each step until the residual drops.
 
-    ``jacobian(x)`` returns the (sub, diag, sup) bands at ``x``.  A step halved
-    40 times without lowering the max-norm residual ends the iteration: as
-    converged when the residual is at or below ``floor(x)``, else with a
-    ``ConvergenceError``.  Returns (x, residual max-norm, iterations).
+    ``jacobian(x)`` returns the (sub, diag, sup) bands at ``x``.  When the full
+    step does not lower the max-norm residual and that residual is at or below
+    ``floor(x)``, the iteration ends at once as converged: the iterate sits on
+    its rounding floor, and halving would only re-evaluate it.  Otherwise the
+    step is halved up to 40 times; if none lowers the residual the iteration
+    ends with a ``ConvergenceError``.  Returns (x, residual max-norm, iterations).
     """
     x = x0
     res = residual(x)
@@ -43,16 +45,16 @@ def damped_newton(residual, jacobian, x0, tol, max_iterations, floor=None, what=
             )
         delta = solve_tridiagonal(make_operator(*jacobian(x)), -res)
         step = 1.0
-        for _ in range(40):
+        for halving in range(40):
             cand = x + step * delta
             cres = residual(cand)
             cnorm = float(np.abs(cres).max())
             if cnorm < rnorm:
                 break
+            if halving == 0 and floor is not None and rnorm <= floor(x):
+                return x, rnorm, iterations
             step *= 0.5
         else:
-            if floor is not None and rnorm <= floor(x):
-                break
             raise ConvergenceError(
                 f"{what} damping exhausted at residual {rnorm:.3e} after {iterations} iterations"
             )

@@ -5,6 +5,11 @@ allowed region predicts the large-n eigenvalues of -4 d^2/dy^2 + W.  The action
 integral is split at the well bottom and each monotone branch is computed with
 the substitution mu - W = (T sin phi)^2, which removes the square-root turning
 point singularity and leaves a smooth integrand for Gauss-Legendre quadrature.
+
+Turning points and the quadrature nodes' positions on each branch come from
+one root-finder, ``_branch_positions``: a vectorized Newton solve of
+W(y) = target, started from a 33-point scan of the branch and kept inside the
+scan's bracket by midpoint fallbacks.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ from scipy.special import roots_legendre
 from .painleve import ConvergenceError, PainleveSolution
 
 _GL_NODES = 200
+_SCAN_NODES = 33
+_ROOT_ROUNDS = 80
+_EPS = float(np.finfo(float).eps)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -142,45 +150,78 @@ def harmonic(y_left: float = -50.0, y_right: float = 50.0) -> PotentialProfile:
 
 
 def turning_points(W: PotentialProfile, mu: float):
-    """Roots y_minus < y_plus of W(y) = mu, one per monotone branch."""
+    """Roots y_minus < y_plus of W(y) = mu, one per monotone branch.
+
+    Each root comes from the safeguarded Newton solve of ``_branch_positions``
+    with the single target mu.
+    """
     if not mu > W.well_value:
         raise ValueError(f"mu = {mu:g} is not above the well bottom {W.well_value:g}")
     if float(W(W.y_left)) < mu:
         raise ValueError(f"mu = {mu:g} exceeds the certified range on the left")
     if float(W(W.y_right)) < mu:
         raise ValueError(f"mu = {mu:g} exceeds the certified range on the right")
-
-    def bisect(a, b, decreasing):
-        # W - mu changes sign once on the branch
-        while b - a > 1e-12 * (1.0 + abs(a) + abs(b)):
-            mid = 0.5 * (a + b)
-            if (float(W(mid)) > mu) == decreasing:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
-    y_minus = bisect(W.y_left, W.well_location, decreasing=True)
-    y_plus = bisect(W.well_location, W.y_right, decreasing=False)
+    target = np.array([float(mu)])
+    y_minus = float(_branch_positions(W, target, W.well_location, W.y_left)[0])
+    y_plus = float(_branch_positions(W, target, W.well_location, W.y_right)[0])
     return y_minus, y_plus
 
 
 def _branch_positions(W: PotentialProfile, targets, inner: float, outer: float):
-    """Solve W(y) = target on one monotone branch, vectorized bisection.
+    """Solve W(y) = target on one monotone branch by vectorized safeguarded Newton.
 
     ``inner`` is the well-side end, ``outer`` the turning-point side; targets
-    must lie between W(inner) and W(outer).
+    must lie between W(inner) and W(outer).  One scan of W on ``_SCAN_NODES``
+    points from inner to outer brackets every target.  The start interpolates
+    sqrt(W - W(inner)) linearly over the bracket: that root is nearly linear
+    in y at the well bottom, where W itself is quadratic and a linear start
+    would leave Newton halving its distance per step.  Newton steps use
+    ``W.dW``; a step that leaves its bracket falls back to the bracket
+    midpoint.  A node is done when |W(y) - target| <= 4 eps_mach
+    max(|target|, |W(inner)|), the largest |W| between the well and the root,
+    or when its bracket has shrunk to rounding.  A step-size test would never
+    fire near the bottom, where W' -> 0 leaves the root good only to about
+    1e-11.  Nodes still open after ``_ROOT_ROUNDS`` rounds raise
+    ``ConvergenceError``.
     """
-    a = np.full(targets.size, inner)
-    b = np.full(targets.size, outer)
-    increasing = float(W(outer)) >= float(W(inner))
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        wm = np.asarray(W(mid), dtype=float)
-        toward_outer = (wm < targets) if increasing else (wm > targets)
-        a = np.where(toward_outer, mid, a)
-        b = np.where(toward_outer, b, mid)
-    return 0.5 * (a + b)
+    targets = np.asarray(targets, dtype=float)
+    ys = np.linspace(inner, outer, _SCAN_NODES)
+    ws = np.asarray(W(ys), dtype=float)
+    # W lies between W(inner) and the target from the well to the root, so this
+    # bounds |W| there: the scale of the residual's rounding
+    tol = 4.0 * _EPS * np.maximum(np.abs(targets), abs(ws[0]))
+    # W rises from inner to outer on a certified branch; the running maximum
+    # keeps the scan sorted through tolerated plateaus
+    scan_root = np.sqrt(np.maximum.accumulate(ws) - ws[0])
+    root = np.sqrt(np.maximum(targets - ws[0], 0.0))
+    k = np.clip(np.searchsorted(scan_root, root), 1, _SCAN_NODES - 1)
+    a, b = ys[k - 1], ys[k]  # W(a) <= target <= W(b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = (root - scan_root[k - 1]) / (scan_root[k] - scan_root[k - 1])
+    y = np.where(np.isfinite(frac), a + np.clip(frac, 0.0, 1.0) * (b - a), 0.5 * (a + b))
+
+    live = np.arange(targets.size)
+    for _ in range(_ROOT_ROUNDS):
+        yl = y[live]
+        r = np.asarray(W(yl), dtype=float) - targets[live]
+        below = r < 0.0
+        al = np.where(below, yl, a[live])
+        bl = np.where(below, b[live], yl)
+        a[live], b[live] = al, bl
+        done = (np.abs(r) <= tol[live]) | (np.abs(bl - al) <= _EPS * (np.abs(al) + np.abs(bl)))
+        keep = ~done
+        live, yl, r, al, bl = live[keep], yl[keep], r[keep], al[keep], bl[keep]
+        if live.size == 0:
+            return y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = yl - r / np.asarray(W.dW(yl), dtype=float)
+        inside = (step - al) * (step - bl) < 0.0
+        y[live] = np.where(inside, step, 0.5 * (al + bl))
+    side = "left" if outer < inner else "right"
+    raise ConvergenceError(
+        f"root solve on the {side} branch [{min(inner, outer):g}, {max(inner, outer):g}] "
+        f"left {live.size} of {targets.size} targets open after {_ROOT_ROUNDS} rounds"
+    )
 
 
 @lru_cache(maxsize=1)
@@ -224,11 +265,12 @@ def bs_eigenvalue(W: PotentialProfile, n: int, action_tol: float = 1e-9) -> floa
         raise ValueError(f"level index must be >= 1, got {n}")
     target = math.pi * (2 * n - 1)
 
-    lo = W.well_value
+    # the action vanishes at the well bottom; double the span until it passes the target
+    lo, f_lo = W.well_value, -target
     span = 1.0
     try:
-        while action(W, W.well_value + span) < target:
-            lo = W.well_value + span
+        while (f_hi := action(W, W.well_value + span) - target) < 0.0:
+            lo, f_lo = W.well_value + span, f_hi
             span *= 2.0
             if span > 1e6:
                 raise ConvergenceError("Bohr-Sommerfeld bracket failure: action never reaches target")
@@ -237,8 +279,6 @@ def bs_eigenvalue(W: PotentialProfile, n: int, action_tol: float = 1e-9) -> floa
     hi = W.well_value + span
 
     # bisection with a secant candidate each step
-    f_lo = (action(W, lo) if lo > W.well_value else 0.0) - target
-    f_hi = action(W, hi) - target
     mu = 0.5 * (lo + hi)
     for _ in range(200):
         if f_hi != f_lo:

@@ -5,8 +5,10 @@ package: adaptive Runge-Kutta shooting instead of the damped-Newton boundary
 value solve, dense symmetric eigensolvers and a numpy Sturm count instead of
 the LAPACK tridiagonal eigensolver, extended-precision inverse iteration
 instead of double-precision eigenvectors,
-direct enumeration instead of the generator, and symbolic quadrature instead
-of the trapezoid energy.  None of these helpers import from tfpainleve.
+direct enumeration instead of the generator, symbolic quadrature instead
+of the trapezoid energy, and Brent turning points with adaptive quadrature
+instead of the Newton-solved Gauss-Legendre action.  None of these helpers
+import from tfpainleve.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 # Frozen output of shoot_nu0_at_zero(), recorded when the oracle was first
 # run; guards against silent drift of the oracle itself.
@@ -219,6 +222,26 @@ def _mp_decay_constants(diag_b: bytes, sub_b: bytes, nodes_b: bytes, k: int, dps
                 max(abs(d) * g / (t + 1) for d, g, t in zip(du, growth, ay))
             )
     return c_bound, c_deriv
+
+
+def quad_action(profile, mu: float) -> float:
+    """Action int sqrt(mu - W) dy of a single-well profile by adaptive quadrature.
+
+    Turning points by Brent's method on each side of the well, then QUADPACK
+    on each branch directly in y: its extrapolation absorbs the square-root
+    endpoint singularities.  Reads only the profile's evaluator and its
+    well and range fields.
+    """
+    w = profile.evaluator
+    g = lambda y: float(w(y)) - mu  # noqa: E731
+    well = profile.well_location
+    y_minus = brentq(g, profile.y_left, well, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    y_plus = brentq(g, well, profile.y_right, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    f = lambda y: np.sqrt(max(-g(y), 0.0))  # noqa: E731
+    total = 0.0
+    for a, b in ((y_minus, well), (well, y_plus)):
+        total += quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=2000)[0]
+    return total
 
 
 def brute_triples(n: int):

@@ -193,9 +193,20 @@ def _rounding_floor():
 
 def test_damped_newton_stall_at_floor_returns():
     residual, jacobian = _rounding_floor()
-    x, rnorm, _ = damped_newton(residual, jacobian, np.ones(3), 1e-20, 50, floor=lambda x: 1.0)
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return residual(x)
+
+    x, rnorm, iterations = damped_newton(
+        counted, jacobian, np.ones(3), 1e-20, 50, floor=lambda x: 1.0
+    )
     assert rnorm <= 1.0
     np.testing.assert_allclose(x, np.sqrt(2.0), rtol=1e-15)
+    # the start, one per accepted full step, and one rejected step at the
+    # floor: the stall costs one evaluation, not 40 halvings
+    assert len(calls) == iterations + 2
 
 
 def test_damped_newton_stall_above_floor_raises():
