@@ -23,7 +23,6 @@ from .grids import (
 )
 from .painleve import (
     ConvergenceError,
-    TailSeries,
     PainleveSolution,
     bn_coefficients,
     tail_plus,
@@ -59,20 +58,15 @@ from .spectrum import (
     ScalingTable,
     DecayCertificate,
     assemble_M0,
-    m0_nodes,
     assemble_Lplus,
-    operator_nodes,
     eig_smallest,
     scaling_study,
     decay_check,
-    w_eps,
 )
 from .semiclassics import (
     PotentialProfile,
     from_function,
     from_solution,
-    simplified,
-    harmonic,
     turning_points,
     action,
     bs_eigenvalue,
@@ -90,7 +84,6 @@ __all__ = [
     "from_boundary_layer",
     "uniform_grid",
     "ConvergenceError",
-    "TailSeries",
     "PainleveSolution",
     "bn_coefficients",
     "tail_plus",
@@ -120,18 +113,13 @@ __all__ = [
     "ScalingTable",
     "DecayCertificate",
     "assemble_M0",
-    "m0_nodes",
     "assemble_Lplus",
-    "operator_nodes",
     "eig_smallest",
     "scaling_study",
     "decay_check",
-    "w_eps",
     "PotentialProfile",
     "from_function",
     "from_solution",
-    "simplified",
-    "harmonic",
     "turning_points",
     "action",
     "bs_eigenvalue",

@@ -11,6 +11,7 @@ configuration, 2 first failing stage (named on standard error).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -37,7 +38,6 @@ _DEFAULTS = {
     "n_nodes": 6001,
     "tol": 1e-10,
     "gs_tol": 1e-8,
-    "eig_tol": 1e-10,
     "nodes_per_layer": 40,
     "r_max": 2.5,
     "n_pairs": 3,
@@ -46,11 +46,14 @@ _DEFAULTS = {
 }
 
 
+_FLOAT_KEYS = ("y_min", "y_max", "tol", "gs_tol", "r_max")
+
+
 def _parse_value(key: str, raw: str):
     try:
         if key in ("dimension", "order", "n_nodes", "nodes_per_layer", "n_pairs"):
             return int(raw)
-        if key in ("y_min", "y_max", "tol", "gs_tol", "eig_tol", "r_max"):
+        if key in _FLOAT_KEYS:
             return float(raw)
         if key == "eps":
             return tuple(float(p) for p in raw.split(",") if p.strip())
@@ -88,6 +91,9 @@ def load_config(path: str | None) -> dict:
 
 def validate_config(cfg: dict) -> None:
     """Check every numeric value against the module preconditions up front."""
+    for key in _FLOAT_KEYS:
+        if not math.isfinite(cfg[key]):
+            raise ConfigError(f"{key} must be finite, got {cfg[key]}")
     if cfg["dimension"] not in (1, 2, 3):
         raise ConfigError(f"dimension must be 1, 2 or 3, got {cfg['dimension']}")
     if not cfg["eps"]:
@@ -103,7 +109,7 @@ def validate_config(cfg: dict) -> None:
         )
     if cfg["n_nodes"] < 2000:
         raise ConfigError(f"n_nodes must be at least 2000, got {cfg['n_nodes']}")
-    for key in ("tol", "gs_tol", "eig_tol"):
+    for key in ("tol", "gs_tol"):
         if not cfg[key] > 0.0:
             raise ConfigError(f"{key} must be positive, got {cfg[key]}")
     if cfg["nodes_per_layer"] < 20:
@@ -269,8 +275,8 @@ def _bs_levels(cfg) -> tuple:
     return tuple(sorted(set(cfg["bs_levels"])))
 
 
-def _m0_eigenvalues(cfg, sol, k):
-    return eig_smallest(assemble_M0(sol), k, tol=cfg["eig_tol"], label="M0").eigenvalues
+def _m0_eigenvalues(sol, k):
+    return eig_smallest(assemble_M0(sol), k, label="M0").eigenvalues
 
 
 def _bs_table(sol, levels, mu, out, stages):
@@ -311,7 +317,7 @@ def cmd_spectrum(cfg, out, plots, stages) -> None:
         "scaling",
         lambda: scaling_study(
             sol, cset, cfg["eps"], n_pairs=cfg["n_pairs"],
-            nodes_per_layer=cfg["nodes_per_layer"], gs_tol=cfg["gs_tol"], eig_tol=cfg["eig_tol"],
+            nodes_per_layer=cfg["nodes_per_layer"], gs_tol=cfg["gs_tol"],
         ),
     )
     stages.current = "output"
@@ -328,7 +334,7 @@ def cmd_spectrum(cfg, out, plots, stages) -> None:
 def cmd_bs(cfg, out, plots, stages) -> None:
     sol = stages.run("painleve", lambda: _solve_painleve(cfg))
     levels = _bs_levels(cfg)
-    mu = stages.run("bs", lambda: _m0_eigenvalues(cfg, sol, levels[-1]))
+    mu = stages.run("bs", lambda: _m0_eigenvalues(sol, levels[-1]))
     mu_bs, mu_m0, rel = _bs_table(sol, levels, mu, out, stages)
     _write_summary(os.path.join(out, "summary.txt"), [("max_rel_err", float(rel.max()))])
     if plots:
@@ -349,7 +355,7 @@ def cmd_study(cfg, out, plots, stages) -> None:
     cset.to_csv(os.path.join(out, "corrections.csv"))
     remainder = stages.run(
         "remainder",
-        lambda: remainder_study(sol, cset, cfg["eps"], d, nodes_per_layer=80),
+        lambda: remainder_study(sol, cset, cfg["eps"], d),
     )
     remainder.to_csv(os.path.join(out, "remainder.csv"))
     cset1 = cset if d == 1 else stages.run(
@@ -359,10 +365,10 @@ def cmd_study(cfg, out, plots, stages) -> None:
 
     def scaling_table():
         # one M0 solve serves both the scaling table and the Bohr-Sommerfeld table
-        mu = _m0_eigenvalues(cfg, sol, max(cfg["n_pairs"], levels[-1]))
+        mu = _m0_eigenvalues(sol, max(cfg["n_pairs"], levels[-1]))
         table = scaling_study(
             sol, cset1, cfg["eps"], n_pairs=cfg["n_pairs"], nodes_per_layer=cfg["nodes_per_layer"],
-            gs_tol=cfg["gs_tol"], eig_tol=cfg["eig_tol"], mu=mu,
+            gs_tol=cfg["gs_tol"], mu=mu,
         )
         return mu, table
 

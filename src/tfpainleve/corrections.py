@@ -250,12 +250,7 @@ def solve_correction_n(sol: PainleveSolution, terms, n: int, dimension: int):
     return _linear_solve(sol, Fn), Fn
 
 
-def build_corrections(
-    sol: PainleveSolution,
-    dimension: int,
-    order: int = 2,
-    check_tails: bool = True,
-) -> CorrectionSet:
+def build_corrections(sol: PainleveSolution, dimension: int, order: int = 2) -> CorrectionSet:
     """Run the ladder up to the requested order (at most 3).
 
     Validates the far-field decay rate of each resolvable correction against
@@ -272,9 +267,8 @@ def build_corrections(
         nun, Fn = solve_correction_n(sol, terms, n, dimension)
         terms.append(nun)
         forcings.append(Fn)
-    if check_tails:
-        for n in range(1, order + 1):
-            _check_tail_slope(sol, terms[n - 1], beta - 2.0 * n, f"nu_{n} (d={dimension})")
+    for n in range(1, order + 1):
+        _check_tail_slope(sol, terms[n - 1], beta - 2.0 * n, f"nu_{n} (d={dimension})")
     return CorrectionSet(
         dimension=dimension,
         order=order,

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._io import write_csv
 from .corrections import CorrectionSet, composite_nu
@@ -41,9 +40,6 @@ class GroundState:
         eta = np.asarray(self.eta, dtype=float)
         eta.setflags(write=False)
         object.__setattr__(self, "eta", eta)
-
-    def interp(self, r):
-        return CubicSpline(self.grid.nodes, self.eta)(r)
 
     def to_csv(self, path, composite=None) -> None:
         header = ["r", "eta"]
@@ -113,49 +109,38 @@ def _newton(eta, r, h, eps, d, tol, max_iterations):
 def solve_ground_state(
     eps: float,
     dimension: int,
-    grid: Grid1D | None = None,
     tol: float = 1e-8,
     r_max: float = 2.5,
     nodes_per_layer: int = 40,
-    guess: np.ndarray | None = None,
     painleve_sol: PainleveSolution | None = None,
     correction_set: CorrectionSet | None = None,
     max_iterations: int = 60,
 ) -> GroundState:
     """Damped-Newton solve for the positive radial profile.
 
-    The initial guess is, in order of preference: the explicit ``guess``
-    array, the composite approximation when a profile solution and correction
-    set are supplied, or the smoothed bulk profile.  If the direct solve
-    stalls, continuation restarts from eps = 0.3 and halves eps until the
-    target, reusing each converged state as the next guess.
+    The grid is ``default_grid`` on [0, max(r_max, 2, 1 + 6 eps^(2/3))], so it
+    reaches past the decay region beyond r = 1.  The initial guess is the
+    composite approximation when a profile solution and correction set are
+    supplied, else the smoothed bulk profile.  If the direct solve stalls,
+    continuation restarts from eps = 0.3 and halves eps until the target,
+    reusing each converged state as the next guess.
     """
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps must lie in (0, 0.5], got {eps}")
     if dimension not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
     width = eps ** (2.0 / 3.0)
-    # domain must contain the decay region past r = 1
     r_need = max(2.0, 1.0 + 6.0 * width)
-    if grid is None:
-        grid = default_grid(eps, r_max=max(r_max, r_need), nodes_per_layer=nodes_per_layer)
-    elif grid.b < r_need - 1e-12:
-        raise ValueError(f"r_max = {grid.b:g} too small for eps = {eps:g}; need >= {r_need:g}")
+    grid = default_grid(eps, r_max=max(r_max, r_need), nodes_per_layer=nodes_per_layer)
     h = grid.spacing
     r = grid.nodes
-    if r[0] != 0.0:
-        raise ValueError(f"radial grid must start at r = 0, got {r[0]}")
     if h > width / 20.0:
         raise ValueError(
             f"grid spacing {h:.3e} too coarse for the eps^(2/3) layer {width:.3e}; "
             "need at least 20 nodes per layer width"
         )
 
-    if guess is not None:
-        eta0 = np.asarray(guess, dtype=float).copy()
-        if eta0.shape != r.shape:
-            raise ValueError(f"guess shape {eta0.shape} does not match grid {r.shape}")
-    elif painleve_sol is not None and correction_set is not None:
+    if painleve_sol is not None and correction_set is not None:
         eta0 = composite_eta(painleve_sol, correction_set, eps, r)
     else:
         eta0 = _smoothed_guess(eps, r)
@@ -165,10 +150,7 @@ def solve_ground_state(
     try:
         eta, rnorm, iterations = _newton(eta0, r, h, eps, dimension, tol, max_iterations)
     except ConvergenceError:
-        if guess is not None:
-            raise
         # continuation from a loose eps down to the target
-        eta = None
         path = []
         eps_k = _CONTINUATION_START
         ladder = []
@@ -270,18 +252,14 @@ class RemainderTable:
 
 
 def remainder_study(
-    sol: PainleveSolution,
-    cset: CorrectionSet,
-    eps_list,
-    dimension: int,
-    nodes_per_layer: int = 80,
-    tol: float = 1e-10,
+    sol: PainleveSolution, cset: CorrectionSet, eps_list, dimension: int
 ) -> RemainderTable:
     """Measure sup |eta_eps - composite| and its empirical order in eps.
 
     Each ground state is seeded with the composite itself, so the Newton solve
     converges directly; the two routes stay independent because the solve
-    iterates the full nonlinear problem to its own tolerance.
+    iterates the full nonlinear problem to its own tolerance (1e-10, on 80
+    nodes per layer width).
     """
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     if eps_arr.size < 2:
@@ -289,12 +267,7 @@ def remainder_study(
     errs = []
     for eps in eps_arr:
         gs = solve_ground_state(
-            eps,
-            dimension,
-            nodes_per_layer=nodes_per_layer,
-            tol=tol,
-            painleve_sol=sol,
-            correction_set=cset,
+            eps, dimension, tol=1e-10, nodes_per_layer=80, painleve_sol=sol, correction_set=cset
         )
         comp = composite_eta(sol, cset, eps, gs.grid.nodes)
         errs.append(float(np.abs(gs.eta - comp).max()))

@@ -63,27 +63,11 @@ def damped_newton(residual, jacobian, x0, tol, max_iterations, floor=None, what=
     return x, rnorm, iterations
 
 
-@dataclass(frozen=True)
-class TailSeries:
-    """Coefficients b_0..b_M of the right-tail series sqrt(y) * sum b_n (2y)^(-3n/2)."""
+def bn_coefficients(terms: int) -> np.ndarray:
+    """Coefficients b_0..b_terms of the right-tail series sqrt(y) * sum b_n (2y)^(-3n/2).
 
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-
-    @property
-    def order(self) -> int:
-        return self.coefficients.size - 1
-
-
-def bn_coefficients(terms: int) -> TailSeries:
-    """Recursion for the right-tail coefficients; b_0 = 1, b_1 = 0.
-
-    Substituting sqrt(y) * sum b_n (2y)^(-3n/2) into 4 nu'' + y nu - nu^3 = 0
-    and collecting powers of y gives, for n >= 0,
+    Returns a read-only array; b_0 = 1, b_1 = 0.  Substituting the series into
+    4 nu'' + y nu - nu^3 = 0 and collecting powers of y gives, for n >= 0,
 
     b_{n+2} = 4 (9 n^2 - 1) b_n
               - (3/2) sum_{m=1}^{n+1} b_m b_{n+2-m}
@@ -106,11 +90,14 @@ def bn_coefficients(terms: int) -> TailSeries:
             for m in range(1, n + 2 - l):
                 triple += b[l] * b[m] * b[n + 2 - l - m]
         b[n + 2] = total - 1.5 * pair - 0.5 * triple
-    return TailSeries(b)
+    b.setflags(write=False)
+    return b
 
 
-def tail_plus(y, series: TailSeries):
+def tail_plus(y, coefficients: np.ndarray):
     """Right-tail value and derivative of the layer profile at y > 0.
+
+    ``coefficients`` are the b_n of ``bn_coefficients``.
 
     Warns when the requested y is small enough that the asymptotic series
     terms no longer decrease.
@@ -118,12 +105,11 @@ def tail_plus(y, series: TailSeries):
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0.0):
         raise ValueError("tail_plus is defined for y > 0 only")
-    b = series.coefficients
     val = np.zeros_like(y)
     dval = np.zeros_like(y)
     prev = None
     growing = False
-    for n, bn in enumerate(b):
+    for n, bn in enumerate(coefficients):
         c = bn * 2.0 ** (-1.5 * n)
         term = c * y ** ((1 - 3 * n) / 2.0)
         val += term
@@ -186,10 +172,6 @@ class PainleveSolution:
         return CubicSpline(self.grid.nodes, self.nu0)
 
     @cached_property
-    def _dnu0_spline(self) -> CubicSpline:
-        return CubicSpline(self.grid.nodes, self.dnu0)
-
-    @cached_property
     def _w0_spline(self) -> CubicSpline:
         return CubicSpline(self.grid.nodes, self.w0)
 
@@ -209,6 +191,10 @@ class PainleveSolution:
                   [self.grid.nodes, self.nu0, self.dnu0, self.w0])
 
 
+_SERIES_TERMS = 6
+_MAX_ITERATIONS = 50
+
+
 def _newton_residual(nu, y, h, left, right):
     r = np.empty_like(nu)
     r[0] = nu[0] - left
@@ -226,8 +212,6 @@ def solve_hastings_mcleod(
     y_max: float = 40.0,
     n_nodes: int = 6001,
     tol: float = 1e-10,
-    series_terms: int = 6,
-    max_iterations: int = 50,
 ) -> PainleveSolution:
     """Damped-Newton solve of 4 D2 nu + y nu - nu^3 = 0 with tail pinning.
 
@@ -247,9 +231,8 @@ def solve_hastings_mcleod(
     grid = uniform_grid(y_min, y_max, n_nodes)
     y = grid.nodes
     h = grid.spacing
-    series = bn_coefficients(series_terms)
     left = float(tail_minus(y_min))
-    right, _ = tail_plus(y_max, series)
+    right, _ = tail_plus(y_max, bn_coefficients(_SERIES_TERMS))
 
     nu = np.sqrt((y + np.sqrt(y * y + 4.0)) / 2.0)
     nu[0], nu[-1] = left, right
@@ -265,7 +248,7 @@ def solve_hastings_mcleod(
     # the difference stencil amplifies rounding to ~eps_mach |nu| / h^2;
     # a stall at that floor is convergence, not failure
     nu, rnorm, iterations = damped_newton(
-        lambda nu: _newton_residual(nu, y, h, left, right), jacobian, nu, tol, max_iterations,
+        lambda nu: _newton_residual(nu, y, h, left, right), jacobian, nu, tol, _MAX_ITERATIONS,
         floor=lambda nu: 32.0 * np.finfo(float).eps * float(np.abs(nu).max()) / h**2,
     )
 

@@ -3,8 +3,10 @@
 The quantization rule int sqrt(mu - W(y)) dy = pi (2n - 1) over the classically
 allowed region predicts the large-n eigenvalues of -4 d^2/dy^2 + W.  The action
 integral is split at the well bottom and each monotone branch is computed with
-the substitution mu - W = (T sin phi)^2, which removes the square-root turning
-point singularity and leaves a smooth integrand for Gauss-Legendre quadrature.
+the substitution mu - W = (T sin phi)^2 and one integration by parts, which
+remove the square-root turning point singularity and leave the smooth,
+derivative-free integrand T cos(phi) |y(phi) - y_well| for Gauss-Legendre
+quadrature.
 
 Turning points and the quadrature nodes' positions on each branch come from
 one root-finder, ``_branch_positions``: a vectorized Newton solve of
@@ -20,11 +22,12 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.special import roots_legendre
 
 from .painleve import ConvergenceError, PainleveSolution
 
-_GL_NODES = 200
+_GL_NODES = 64
+_SAMPLES = 4001
+_ACTION_TOL = 1e-9
 _SCAN_NODES = 33
 _ROOT_ROUNDS = 80
 _EPS = float(np.finfo(float).eps)
@@ -41,21 +44,9 @@ class PotentialProfile:
     well_value: float
     y_left: float
     y_right: float
-    monotone_left: bool = True
-    monotone_right: bool = True
 
     def __call__(self, y):
         return self.evaluator(y)
-
-    def dW(self, y):
-        if self.derivative is not None:
-            return self.derivative(y)
-        y = np.asarray(y, dtype=float)
-        h = 1e-6 * (1.0 + np.abs(y))
-        # keep the difference stencil inside the certified range
-        lo = np.maximum(y - h, self.y_left)
-        hi = np.minimum(y + h, self.y_right)
-        return (self.evaluator(hi) - self.evaluator(lo)) / (hi - lo)
 
 
 def _golden_min(f, a: float, b: float, tol: float = 1e-13):
@@ -76,24 +67,19 @@ def _golden_min(f, a: float, b: float, tol: float = 1e-13):
     return x, f(x)
 
 
-def from_function(
-    f,
-    y_left: float,
-    y_right: float,
-    derivative=None,
-    samples: int = 4001,
-) -> PotentialProfile:
+def from_function(f, y_left: float, y_right: float, derivative) -> PotentialProfile:
     """Certify a callable as single-well by scanning, then refine the bottom.
 
-    Plateaus in the scan are tolerated (broken toward the well); any strict
-    rise left of the minimum or fall right of it rejects the potential.
+    ``derivative`` evaluates W' for the root solves.  Plateaus in the scan
+    are tolerated (broken toward the well); any strict rise left of the
+    minimum or fall right of it rejects the potential.
     """
     if not y_right > y_left:
         raise ValueError(f"empty certification range [{y_left}, {y_right}]")
-    ys = np.linspace(y_left, y_right, samples)
+    ys = np.linspace(y_left, y_right, _SAMPLES)
     w = np.asarray(f(ys), dtype=float)
     i = int(np.argmin(w))
-    if i == 0 or i == samples - 1:
+    if i == 0 or i == _SAMPLES - 1:
         raise ValueError("potential has no interior minimum on the certified range")
     slack = 1e-12 * (float(np.max(np.abs(w))) + 1.0)
     if np.any(np.diff(w[: i + 1]) > slack):
@@ -114,39 +100,7 @@ def from_function(
 def from_solution(sol: PainleveSolution) -> PotentialProfile:
     """Profile of W0 = 3 nu0^2 - y over the layer grid."""
     spline = CubicSpline(sol.grid.nodes, sol.w0)
-    return from_function(spline, sol.grid.a, sol.grid.b, derivative=spline.derivative())
-
-
-def simplified(y_left: float = -60.0, y_right: float = 30.0) -> PotentialProfile:
-    """Piecewise-linear surrogate 2y for y >= 0, -y for y <= 0."""
-
-    def w(y):
-        y = np.asarray(y, dtype=float)
-        out = np.where(y >= 0.0, 2.0 * y, -y)
-        return out if out.ndim else float(out)
-
-    def dw(y):
-        y = np.asarray(y, dtype=float)
-        out = np.where(y >= 0.0, 2.0, -1.0)
-        return out if out.ndim else float(out)
-
-    return PotentialProfile(w, dw, 0.0, 0.0, float(y_left), float(y_right))
-
-
-def harmonic(y_left: float = -50.0, y_right: float = 50.0) -> PotentialProfile:
-    """Harmonic surrogate W = y^2 with the closed-form action pi mu / 2."""
-
-    def w(y):
-        y = np.asarray(y, dtype=float)
-        out = y * y
-        return out if out.ndim else float(out)
-
-    def dw(y):
-        y = np.asarray(y, dtype=float)
-        out = 2.0 * y
-        return out if out.ndim else float(out)
-
-    return PotentialProfile(w, dw, 0.0, 0.0, float(y_left), float(y_right))
+    return from_function(spline, sol.grid.a, sol.grid.b, spline.derivative())
 
 
 def turning_points(W: PotentialProfile, mu: float):
@@ -176,7 +130,7 @@ def _branch_positions(W: PotentialProfile, targets, inner: float, outer: float):
     sqrt(W - W(inner)) linearly over the bracket: that root is nearly linear
     in y at the well bottom, where W itself is quadratic and a linear start
     would leave Newton halving its distance per step.  Newton steps use
-    ``W.dW``; a step that leaves its bracket falls back to the bracket
+    ``W.derivative``; a step that leaves its bracket falls back to the bracket
     midpoint.  A node is done when |W(y) - target| <= 4 eps_mach
     max(|target|, |W(inner)|), the largest |W| between the well and the root,
     or when its bracket has shrunk to rounding.  A step-size test would never
@@ -214,7 +168,7 @@ def _branch_positions(W: PotentialProfile, targets, inner: float, outer: float):
         if live.size == 0:
             return y
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = yl - r / np.asarray(W.dW(yl), dtype=float)
+            step = yl - r / np.asarray(W.derivative(yl), dtype=float)
         inside = (step - al) * (step - bl) < 0.0
         y[live] = np.where(inside, step, 0.5 * (al + bl))
     side = "left" if outer < inner else "right"
@@ -227,7 +181,7 @@ def _branch_positions(W: PotentialProfile, targets, inner: float, outer: float):
 @lru_cache(maxsize=1)
 def _phase_rule():
     """Gauss-Legendre nodes and weights on [0, pi/2], built once per process."""
-    xg, wg = roots_legendre(_GL_NODES)
+    xg, wg = np.polynomial.legendre.leggauss(_GL_NODES)
     phi = 0.25 * math.pi * (xg + 1.0)
     weights = 0.25 * math.pi * wg
     phi.setflags(write=False)
@@ -239,27 +193,31 @@ def action(W: PotentialProfile, mu: float) -> float:
     """Classically allowed action int sqrt(mu - W) dy between the turning points.
 
     Split at the well bottom; on each branch substitute mu - W = (T sin phi)^2
-    with T^2 = mu - W(bottom), giving the smooth integrand
-    2 T^3 sin^2(phi) cos(phi) / |W'| on [0, pi/2].
+    with T^2 = mu - W(bottom), so sqrt(mu - W) dy = T sin(phi) |dy/dphi| dphi
+    with phi = 0 at the turning point and pi/2 at the bottom.  Integrating by
+    parts moves the derivative onto sin(phi), and the boundary terms vanish:
+
+        int sqrt(mu - W) dy = T int_0^{pi/2} cos(phi) |y(phi) - y_well| dphi.
+
+    The integrand needs no W' and is smooth at the bottom, where
+    |y - y_well| ~ T cos(phi) / sqrt(W''/2).  An error in y_well enters the
+    two branches with opposite signs and cancels.
     """
     y_minus, y_plus = turning_points(W, mu)
     phi, weights = _phase_rule()
-    sin_phi = np.sin(phi)
     base = float(W(W.well_location))
     t2 = mu - base
     if t2 <= 0.0:
         return 0.0
-    targets = mu - t2 * sin_phi**2
+    targets = mu - t2 * np.sin(phi) ** 2
     total = 0.0
     for outer in (y_minus, y_plus):
         y = _branch_positions(W, targets, W.well_location, outer)
-        slope = np.abs(np.asarray(W.dW(y), dtype=float))
-        f = 2.0 * t2**1.5 * sin_phi**2 * np.cos(phi) / slope
-        total += float(weights @ f)
-    return total
+        total += float(weights @ (np.cos(phi) * np.abs(y - W.well_location)))
+    return math.sqrt(t2) * total
 
 
-def bs_eigenvalue(W: PotentialProfile, n: int, action_tol: float = 1e-9) -> float:
+def bs_eigenvalue(W: PotentialProfile, n: int) -> float:
     """Energy mu_n solving action(W, mu) = pi (2n - 1)."""
     if n < 1:
         raise ValueError(f"level index must be >= 1, got {n}")
@@ -286,7 +244,7 @@ def bs_eigenvalue(W: PotentialProfile, n: int, action_tol: float = 1e-9) -> floa
         if not lo < mu < hi:
             mu = 0.5 * (lo + hi)
         f_mu = action(W, mu) - target
-        if abs(f_mu) <= action_tol:
+        if abs(f_mu) <= _ACTION_TOL:
             return mu
         if f_mu > 0.0:
             hi, f_hi = mu, f_mu

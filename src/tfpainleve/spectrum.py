@@ -28,35 +28,23 @@ from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from ._io import write_csv
 from .corrections import CorrectionSet
-from .grids import (
-    TridiagonalOperator,
-    first_difference,
-    from_boundary_layer,
-    make_operator,
-    uniform_grid,
-)
+from .grids import TridiagonalOperator, first_difference, make_operator, uniform_grid
 from .groundstate import GroundState, solve_ground_state
 from .painleve import ConvergenceError, PainleveSolution, w0_eval
 
-_BOUNDARY_TAGS = ("Neumann", "Dirichlet", "FullLine")
-_POSITIVE_TAGS = ("M0", "LplusNeumann", "LplusDirichlet", "LplusFullLine")
+_POSITIVE_TAGS = ("M0", "LplusNeumann", "LplusDirichlet")
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Smallest eigenvalues of one operator, optionally with eigenvectors.
+    """Smallest eigenvalues of one operator with their eigenvectors.
 
-    ``eigenvectors`` holds one column per eigenvalue, unit discrete l2 norm;
-    ``nodes`` are the coordinates the unknowns live on; ``scaled`` is
-    eigenvalues / eps^(2/3) when an eps is attached.
+    ``eigenvectors`` holds one column per eigenvalue, unit discrete l2 norm.
     """
 
     operator: str
     eigenvalues: np.ndarray
-    eps: float | None = None
-    scaled: np.ndarray | None = None
-    eigenvectors: np.ndarray | None = None
-    nodes: np.ndarray | None = None
+    eigenvectors: np.ndarray
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -64,14 +52,10 @@ class SpectrumReport:
             raise ValueError("eigenvalues must be strictly increasing (simple spectrum)")
         if self.operator in _POSITIVE_TAGS and ev[0] <= 0.0:
             raise ValueError(f"{self.operator} must be positive definite, got lambda_1 = {ev[0]:.3e}")
-        ev.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", ev)
-        for name in ("scaled", "eigenvectors", "nodes"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=float)
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+        for name, arr in (("eigenvalues", ev), ("eigenvectors", self.eigenvectors)):
+            arr = np.asarray(arr, dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def assemble_M0(sol: PainleveSolution) -> TridiagonalOperator:
@@ -82,24 +66,16 @@ def assemble_M0(sol: PainleveSolution) -> TridiagonalOperator:
     return make_operator(off, diag, off)
 
 
-def m0_nodes(sol: PainleveSolution) -> np.ndarray:
-    """Coordinates of the M0 unknowns (interior nodes of the layer grid)."""
-    return sol.grid.nodes[1:-1]
-
-
 def assemble_Lplus(gs: GroundState, bc: str) -> TridiagonalOperator:
     """FD matrix for -eps^2 d^2/dx^2 + 3 eta^2 - 1 + x^2 with the requested condition.
 
     Neumann / Dirichlet at the origin select the even / odd sector of the full
-    line; FullLine assembles on the mirrored interval as a cross-check.  The
-    Neumann ghost row is symmetrized by scaling the origin unknown by sqrt(2),
-    which leaves the spectrum unchanged and makes the even sector match the
-    full-line assembly exactly.
+    line.  The Neumann ghost row is symmetrized by scaling the origin unknown
+    by sqrt(2), which leaves the spectrum unchanged and makes the even sector
+    match the assembly on the mirrored interval exactly.
     """
     if gs.dimension != 1:
         raise ValueError(f"L+ assembly needs a d=1 profile, got d={gs.dimension}")
-    if bc not in _BOUNDARY_TAGS:
-        raise ValueError(f"unknown boundary tag {bc!r}")
     h = gs.grid.spacing
     r = gs.grid.nodes
     v = 3.0 * gs.eta**2 - 1.0 + r * r
@@ -112,33 +88,11 @@ def assemble_Lplus(gs: GroundState, bc: str) -> TridiagonalOperator:
         diag = 2.0 * c + v[1:-1]
         off = np.full(diag.size - 1, -c)
     else:
-        vfull = np.concatenate([v[-2:0:-1], v[:-1]])
-        diag = 2.0 * c + vfull
-        off = np.full(diag.size - 1, -c)
+        raise ValueError(f"unknown boundary tag {bc!r}")
     return make_operator(off, diag, off)
 
 
-def operator_nodes(gs: GroundState, bc: str) -> np.ndarray:
-    """Coordinates matching the unknown ordering of assemble_Lplus."""
-    if bc not in _BOUNDARY_TAGS:
-        raise ValueError(f"unknown boundary tag {bc!r}")
-    r = gs.grid.nodes
-    if bc == "Neumann":
-        return r[:-1].copy()
-    if bc == "Dirichlet":
-        return r[1:-1].copy()
-    return np.concatenate([-r[-2:0:-1], r[:-1]])
-
-
-def eig_smallest(
-    op: TridiagonalOperator,
-    k: int,
-    want_vectors: bool = False,
-    label: str = "generic",
-    eps: float | None = None,
-    nodes: np.ndarray | None = None,
-    tol: float = 1e-10,
-) -> SpectrumReport:
+def eig_smallest(op: TridiagonalOperator, k: int, label: str = "generic") -> SpectrumReport:
     """k smallest eigenvalues by LAPACK Sturm bisection, checked by Rayleigh quotients.
 
     LAPACK dstebz bisects Sturm counts for the eigenvalues and dstein supplies
@@ -146,9 +100,8 @@ def eig_smallest(
     exponentially close double-well pairs are still resolved.  Each returned
     pair must have residual |A u - lambda u| <= 64 eps_mach times the
     Gershgorin scale; the reported eigenvalue is the Rayleigh quotient of its
-    vector, which may drift from the bisection value by at most
-    max(100 tol, 1e-8) times that scale.  Each vector's largest-magnitude
-    entry is positive.
+    vector, which may drift from the bisection value by at most 1e-8 times
+    that scale.  Each vector's largest-magnitude entry is positive.
     """
     if not op.symmetric:
         raise ValueError("eig_smallest needs a symmetric operator")
@@ -172,7 +125,7 @@ def eig_smallest(
     evals = np.einsum("ij,ij->j", vecs, tv)
     residual = np.linalg.norm(tv - evals * vecs, axis=0)
     res_tol = 64.0 * np.finfo(float).eps * scale
-    drift_tol = max(100.0 * tol * scale, 1e-8 * scale)
+    drift_tol = 1e-8 * scale
     for j in range(k):
         if not residual[j] <= res_tol:
             raise ConvergenceError(
@@ -185,14 +138,7 @@ def eig_smallest(
     imax = np.argmax(np.abs(vecs), axis=0)
     vecs *= np.where(vecs[imax, np.arange(k)] < 0.0, -1.0, 1.0)
 
-    return SpectrumReport(
-        operator=label,
-        eigenvalues=evals,
-        eps=eps,
-        scaled=None if eps is None else evals / eps ** (2.0 / 3.0),
-        eigenvectors=vecs if want_vectors else None,
-        nodes=None if nodes is None else np.asarray(nodes, dtype=float),
-    )
+    return SpectrumReport(operator=label, eigenvalues=evals, eigenvectors=vecs)
 
 
 @dataclass(frozen=True)
@@ -238,7 +184,6 @@ def scaling_study(
     n_pairs: int = 3,
     nodes_per_layer: int = 40,
     gs_tol: float = 1e-8,
-    eig_tol: float = 1e-10,
     mu=None,
 ) -> ScalingTable:
     """Tabulate lambda_{2n-1}, lambda_{2n} and their eps^(2/3) scalings vs mu_n.
@@ -254,7 +199,7 @@ def scaling_study(
     if eps_arr.size == 0:
         raise ValueError("empty eps list")
     if mu is None:
-        mu = eig_smallest(assemble_M0(sol), n_pairs, label="M0", tol=eig_tol).eigenvalues
+        mu = eig_smallest(assemble_M0(sol), n_pairs, label="M0").eigenvalues
     elif len(mu) < n_pairs:
         raise ValueError(f"mu holds {len(mu)} M0 eigenvalues, need n_pairs = {n_pairs}")
 
@@ -266,10 +211,10 @@ def scaling_study(
             painleve_sol=sol, correction_set=cset,
         )
         lam_n = eig_smallest(
-            assemble_Lplus(gs, "Neumann"), n_pairs, label="LplusNeumann", eps=eps, tol=eig_tol
+            assemble_Lplus(gs, "Neumann"), n_pairs, label="LplusNeumann"
         ).eigenvalues
         lam_d = eig_smallest(
-            assemble_Lplus(gs, "Dirichlet"), n_pairs, label="LplusDirichlet", eps=eps, tol=eig_tol
+            assemble_Lplus(gs, "Dirichlet"), n_pairs, label="LplusDirichlet"
         ).eigenvalues
         s = eps ** (2.0 / 3.0)
         for i in range(n_pairs):
@@ -317,6 +262,9 @@ _DECAY_WINDOW = 8.0
 def decay_check(report: SpectrumReport, sol: PainleveSolution, cap: float = 100.0):
     """Decay certificates for every eigenvector in an M0 report built from ``sol``.
 
+    The eigenvectors live on the interior nodes of ``sol.grid``, the unknowns
+    of ``assemble_M0(sol)``; a report of another length is a ValueError.
+
     The maxima run over the window W0(y) < mu_m + 8 only, where the local decay
     rate sqrt((W0 - mu_m)/4) is below sqrt(2).  Outside it |u|'' >= 2|u| (up to
     the stencil), so by comparison |u| decays at least like e^{-(|y| - |y_edge|)}
@@ -328,9 +276,12 @@ def decay_check(report: SpectrumReport, sol: PainleveSolution, cap: float = 100.
     """
     if report.operator != "M0":
         raise ValueError(f"decay certificates apply to M0 reports, got {report.operator!r}")
-    if report.eigenvectors is None or report.nodes is None:
-        raise ValueError("decay_check needs eigenvectors and their nodes")
-    y = report.nodes
+    y = sol.grid.nodes[1:-1]
+    if report.eigenvectors.shape[0] != y.size:
+        raise ValueError(
+            f"eigenvectors have {report.eigenvectors.shape[0]} entries, "
+            f"but the M0 operator of sol has {y.size} unknowns"
+        )
     grid = uniform_grid(y[0], y[-1], y.size)
     w0 = w0_eval(sol, y)
     growth = np.exp(np.abs(y))
@@ -345,20 +296,3 @@ def decay_check(report: SpectrumReport, sol: PainleveSolution, cap: float = 100.
         certs.append(DecayCertificate(m=j + 1, c_bound=c, c_deriv=cd, within_bound=c <= cap))
     return tuple(certs)
 
-
-def w_eps(gs: GroundState, y):
-    """Scaled layer potential W_eps(y) = 3 nu_eps(y)^2 - y from a d=1 profile.
-
-    nu_eps(y) = eps^(-1/3) eta(x(y)) with x(y) the inverse layer map; satisfies
-    V_eps(x) = eps^(2/3) W_eps(y(x)) with V_eps = 3 eta^2 - 1 + x^2.
-    """
-    if gs.dimension != 1:
-        raise ValueError(f"layer potential needs a d=1 profile, got d={gs.dimension}")
-    scalar = np.ndim(y) == 0
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    x = from_boundary_layer(y, gs.eps)
-    if np.any(x > gs.grid.b + 1e-12):
-        raise ValueError(f"y = {y.min():.3f} maps to x = {x.max():.3f} outside the radial grid")
-    eta = gs.interp(x)
-    out = 3.0 * eta * eta / gs.eps ** (2.0 / 3.0) - y
-    return float(out[0]) if scalar else out

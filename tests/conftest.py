@@ -5,7 +5,6 @@ from tfpainleve import (
     assemble_M0,
     build_corrections,
     eig_smallest,
-    m0_nodes,
     solve_hastings_mcleod,
     solve_ground_state,
 )
@@ -33,8 +32,7 @@ def cset3(sol):
 
 @pytest.fixture(scope="session")
 def m0_report(sol):
-    op = assemble_M0(sol)
-    return eig_smallest(op, 8, want_vectors=True, label="M0", nodes=m0_nodes(sol))
+    return eig_smallest(assemble_M0(sol), 8, label="M0")
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,8 @@
 Everything here is deliberately built from different machinery than the
 package: adaptive Runge-Kutta shooting instead of the damped-Newton boundary
 value solve, dense symmetric eigensolvers and a numpy Sturm count instead of
-the LAPACK tridiagonal eigensolver, extended-precision inverse iteration
+the LAPACK tridiagonal eigensolver, a mirrored full-line assembly instead of
+the half-line L+ sectors, extended-precision inverse iteration
 instead of double-precision eigenvectors,
 direct enumeration instead of the generator, symbolic quadrature instead
 of the trapezoid energy, and Brent turning points with adaptive quadrature
@@ -131,6 +132,25 @@ def sturm_count(op, shifts) -> np.ndarray:
 def dense(op) -> np.ndarray:
     """The full matrix of a TridiagonalOperator."""
     return np.diag(op.diag) + np.diag(op.sub, -1) + np.diag(op.sup, 1)
+
+
+def full_line_lplus(eps: float, r, eta):
+    """Bands (sub, diag, sup) of L+ = -eps^2 d^2/dx^2 + 3 eta^2 - 1 + x^2 on the full line.
+
+    The half-line profile eta on the uniform nodes r (r[0] = 0, Dirichlet at
+    r[-1]) is mirrored to the nodes -r[-2], ..., 0, ..., r[-2], with Dirichlet
+    ends.  Its spectrum is the union of the even (Neumann) and odd (Dirichlet)
+    half-line sectors.
+    """
+    r = np.asarray(r, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    h = (r[-1] - r[0]) / (r.size - 1)
+    x = np.concatenate([-r[-2:0:-1], r[:-1]])
+    e = np.concatenate([eta[-2:0:-1], eta[:-1]])
+    c = eps**2 / h**2
+    diag = 2.0 * c + 3.0 * e * e - 1.0 + x * x
+    off = np.full(diag.size - 1, -c)
+    return off, diag, off.copy()
 
 
 def dense_smallest(op, k: int) -> np.ndarray:

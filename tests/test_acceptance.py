@@ -9,8 +9,10 @@ import time
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import oracles
+from surrogates import simplified
 from tfpainleve import (
     assemble_M0,
     bn_coefficients,
@@ -22,7 +24,6 @@ from tfpainleve import (
     remainder_study,
     scaling_study,
     second_difference,
-    simplified,
     solve_ground_state,
     solve_hastings_mcleod,
     tail_fit_window,
@@ -61,10 +62,10 @@ def test_criterion_02_layer_potential_minimum_positive_and_grid_stable(sol):
 
 
 def test_criterion_03_tail_coefficients_and_partial_sum_error(sol):
-    np.testing.assert_array_equal(bn_coefficients(3).coefficients, [1.0, 0.0, -4.0, 0.0])
+    np.testing.assert_array_equal(bn_coefficients(3), [1.0, 0.0, -4.0, 0.0])
     partial, _ = tail_plus(40.0, bn_coefficients(4))
     # b_5 = 0, so the first omitted term in the partial sum is the b_6 one
-    b6 = bn_coefficients(6).coefficients[6]
+    b6 = bn_coefficients(6)[6]
     omitted = abs(b6) * np.sqrt(40.0) * 80.0 ** (-9.0)
     assert abs(sol.nu0[-1] - partial) <= 10.0 * omitted
 
@@ -94,7 +95,7 @@ def test_criterion_05_tf_limit_bounds_d2(sol, cset2):
         diff = tf - gs.eta[inner]
         assert diff.min() >= -1e-12
         ratios.append(np.max(diff / (eps ** (1.0 / 3.0) * tf)))
-        sups.append(np.max(np.abs(gs.interp(bulk_points) - thomas_fermi(bulk_points))))
+        sups.append(np.max(np.abs(CubicSpline(r, gs.eta)(bulk_points) - thomas_fermi(bulk_points))))
     assert max(ratios) <= 10.0
     # the eps=0.1 pair is pre-asymptotic; the finest halving pair sets the order
     order = np.log(sups[-2] / sups[-1]) / np.log(2.0)
@@ -163,12 +164,12 @@ def test_criterion_10_eigenfunction_decay_prefactors(sol, m0_report):
     derivs = np.array([c.c_deriv for c in certs])
     # whole-grid constants of the same matrix from extended-precision vectors,
     # where the grid ends carry no double-precision roundoff
-    ref_bounds, ref_derivs = oracles.mp_decay_constants(assemble_M0(sol), m0_report.nodes, 8)
+    ref_bounds, ref_derivs = oracles.mp_decay_constants(assemble_M0(sol), sol.grid.nodes[1:-1], 8)
     np.testing.assert_allclose(bounds, ref_bounds, rtol=1e-6)
     np.testing.assert_allclose(derivs, ref_derivs, rtol=1e-6)
     # a-priori per-mode bound: ||u||_inf^2 <= ||u|| ||u'|| with the energy
     # identity, then decay rate >= 1 wherever W0 > mu_m + 4 (comparison)
-    y = m0_report.nodes
+    y = sol.grid.nodes[1:-1]
     h = y[1] - y[0]
     w0 = w0_eval(sol, y)
     w_low = w0_min(sol)[1]

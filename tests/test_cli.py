@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfpainleve.cli import ConfigError, _DEFAULTS, load_config, main, validate_config
 
@@ -86,6 +90,44 @@ def test_main_bad_config_is_exit_1(tmp_path, capsys):
     rc = main(["painleve", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line", ["gs_tol = inf", "y_min = nan", "y_max = inf", "r_max = inf", "tol = inf"]
+)
+def test_main_non_finite_value_is_exit_1(line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    rc = main(["groundstate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and line.split(" = ")[0] in err
+    assert not (tmp_path / "out").exists()
+
+
+_KEYS = st.sampled_from(sorted(_DEFAULTS) + ["spacing"])
+_VALUES = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "0", "-1", "1e-10", "3", "0.1, 0.05", ""]),
+    st.floats().map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.text(st.characters(codec="ascii", exclude_characters="\r\n"), max_size=12),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_KEYS, _VALUES), max_size=4))
+def test_config_fuzz_rejects_or_yields_finite_floats(tmp_path_factory, pairs):
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in pairs))
+    try:
+        cfg = load_config(str(path))
+        validate_config(cfg)
+    except ConfigError:
+        return
+    for value in cfg.values():
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float):
+                assert math.isfinite(v), cfg
 
 
 def test_main_painleve(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 import oracles
 from tfpainleve import (
@@ -56,7 +57,7 @@ def test_ground_state_energy_ordering(sol, cset1):
 def test_ground_state_stable_under_grid_halving(sol, cset1):
     g40 = solve_ground_state(0.1, 1, painleve_sol=sol, correction_set=cset1, nodes_per_layer=40)
     g80 = solve_ground_state(0.1, 1, painleve_sol=sol, correction_set=cset1, nodes_per_layer=80)
-    diff = np.abs(g80.interp(g40.grid.nodes) - g40.eta).max()
+    diff = np.abs(CubicSpline(g80.grid.nodes, g80.eta)(g40.grid.nodes) - g40.eta).max()
     assert diff <= 2e-5
 
 
@@ -134,20 +135,9 @@ def test_solve_validation(sol, cset1):
         solve_ground_state(0.6, 1)
     with pytest.raises(ValueError):
         solve_ground_state(0.1, 4)
-    # grid must start at r = 0
-    shifted = uniform_grid(0.1, 2.5, 3001)
-    with pytest.raises(ValueError, match="start at r = 0"):
-        solve_ground_state(0.1, 1, grid=shifted)
     # too-coarse grid for the layer width
-    coarse = uniform_grid(0.0, 2.5, 201)
     with pytest.raises(ValueError, match="too coarse"):
-        solve_ground_state(0.1, 1, grid=coarse)
-    # domain must reach past the bulk
-    short = uniform_grid(0.0, 1.5, 2001)
-    with pytest.raises(ValueError, match="too small"):
-        solve_ground_state(0.1, 1, grid=short)
-    with pytest.raises(ValueError, match="guess shape"):
-        solve_ground_state(0.1, 1, guess=np.zeros(7))
+        solve_ground_state(0.1, 1, nodes_per_layer=5)
 
 
 def test_default_grid_resolves_layer():
@@ -161,13 +151,6 @@ def test_failed_direct_solve_engages_continuation():
     # first rung sits at eps = 0.3 and fails with the same budget
     with pytest.raises(ConvergenceError, match="eps=0.3"):
         solve_ground_state(0.1, 1, max_iterations=1)
-
-
-def test_explicit_guess_failure_does_not_continue(sol):
-    grid = default_grid(0.1)
-    bad = 0.5 * thomas_fermi(grid.nodes)
-    with pytest.raises(ConvergenceError, match="eps=0.1"):
-        solve_ground_state(0.1, 1, grid=grid, guess=bad, max_iterations=1)
 
 
 def test_remainder_table_fields(sol, cset1):

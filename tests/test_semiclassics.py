@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from surrogates import harmonic, simplified
 from tfpainleve import (
     ConvergenceError,
     action,
     bs_eigenvalue,
     from_function,
     from_solution,
-    harmonic,
-    simplified,
     turning_points,
     w0_min,
 )
@@ -62,20 +61,18 @@ def test_turning_points_validation():
 
 
 def test_from_function_certifies_single_well():
-    profile = from_function(lambda y: np.asarray(y) ** 2, -5.0, 5.0)
+    profile = from_function(lambda y: np.asarray(y) ** 2, -5.0, 5.0, lambda y: 2.0 * np.asarray(y))
     assert profile.well_value == pytest.approx(0.0, abs=1e-12)
     assert profile.well_location == pytest.approx(0.0, abs=1e-6)
-    # difference fallback for the slope when no derivative is supplied
-    assert profile.dW(2.0) == pytest.approx(4.0, abs=1e-5)
 
 
 def test_from_function_rejections():
     with pytest.raises(ValueError, match="not single-well"):
-        from_function(np.sin, -6.0, 6.0)
+        from_function(np.sin, -6.0, 6.0, np.cos)
     with pytest.raises(ValueError, match="interior minimum"):
-        from_function(lambda y: -np.asarray(y, dtype=float), 0.0, 1.0)
+        from_function(lambda y: -np.asarray(y, dtype=float), 0.0, 1.0, lambda y: -1.0)
     with pytest.raises(ValueError, match="empty certification range"):
-        from_function(np.cos, 1.0, 1.0)
+        from_function(np.cos, 1.0, 1.0, lambda y: -np.sin(y))
 
 
 def test_layer_potential_profile_matches_w0_minimum(sol):
@@ -110,15 +107,7 @@ def test_bs_eigenvalue_validation():
 def test_layer_action_matches_quadrature_oracle(sol):
     profile = from_solution(sol)
     for mu in (2.45, 4.5, 7.8, 13.0, 20.0):
-        assert action(profile, mu) == pytest.approx(oracles.quad_action(profile, mu), rel=1e-9)
-
-
-def test_action_with_difference_slope():
-    # no derivative given: Newton runs on the finite-difference slope of dW
-    profile = from_function(lambda y: y**2, -8.0, 8.0)
-    assert profile.derivative is None
-    for mu in (1.0, 5.0, 20.0):
-        assert action(profile, mu) == pytest.approx(0.5 * math.pi * mu, abs=1e-10)
+        assert action(profile, mu) == pytest.approx(oracles.quad_action(profile, mu), rel=2e-12)
 
 
 def test_action_evaluation_budget(sol):

@@ -10,14 +10,11 @@ from tfpainleve import (
     assemble_M0,
     decay_check,
     eig_smallest,
-    from_boundary_layer,
     make_operator,
-    operator_nodes,
     scaling_study,
     solve_ground_state,
     uniform_grid,
     w0_eval,
-    w_eps,
 )
 
 M0_FIRST_EIGHT = [2.410531, 4.508181, 6.273440, 7.840016,
@@ -52,10 +49,13 @@ def test_sturm_matches_dense_oracle_on_random_operator():
 def test_eigenpairs_pass_sturm_count_oracle(which, sol, gs1_eps01):
     if which == "M0":
         op, k, label = assemble_M0(sol), 8, "M0"
+    elif which == "FullLine":
+        gs = gs1_eps01
+        op = make_operator(*oracles.full_line_lplus(gs.eps, gs.grid.nodes, gs.eta))
+        k, label = 8, "generic"
     else:
-        op = assemble_Lplus(gs1_eps01, which)
-        k, label = (8 if which == "FullLine" else 4), f"Lplus{which}"
-    report = eig_smallest(op, k, want_vectors=True, label=label)
+        op, k, label = assemble_Lplus(gs1_eps01, which), 4, f"Lplus{which}"
+    report = eig_smallest(op, k, label=label)
     lam, vecs = report.eigenvalues, report.eigenvectors
     # exactly j eigenvalues below the midpoint of lambda_j and lambda_{j+1}
     mids = 0.5 * (lam[:-1] + lam[1:])
@@ -87,12 +87,11 @@ def test_harmonic_surrogate_eigenvalues_closed_form():
 
 
 def test_half_line_sectors_union_is_full_line(gs1_eps01):
-    lam_n = eig_smallest(assemble_Lplus(gs1_eps01, "Neumann"), 4,
-                         label="LplusNeumann", eps=0.1).eigenvalues
-    lam_d = eig_smallest(assemble_Lplus(gs1_eps01, "Dirichlet"), 4,
-                         label="LplusDirichlet", eps=0.1).eigenvalues
-    lam_f = eig_smallest(assemble_Lplus(gs1_eps01, "FullLine"), 8,
-                         label="LplusFullLine", eps=0.1).eigenvalues
+    gs = gs1_eps01
+    lam_n = eig_smallest(assemble_Lplus(gs, "Neumann"), 4, label="LplusNeumann").eigenvalues
+    lam_d = eig_smallest(assemble_Lplus(gs, "Dirichlet"), 4, label="LplusDirichlet").eigenvalues
+    full = make_operator(*oracles.full_line_lplus(gs.eps, gs.grid.nodes, gs.eta))
+    lam_f = oracles.dense_smallest(full, 8)
     union = np.sort(np.concatenate([lam_n, lam_d]))
     np.testing.assert_allclose(union, lam_f, atol=1e-10)
     # strict interleaving lambda_1 < lambda_2 < lambda_3 < ...
@@ -110,16 +109,6 @@ def test_double_well_pair_gaps_grow_with_level(gs1_eps01):
     assert gaps[3] < 1e-2
 
 
-def test_operator_nodes_match_assembly(gs1_eps01):
-    for bc in ("Neumann", "Dirichlet", "FullLine"):
-        nodes = operator_nodes(gs1_eps01, bc)
-        assert nodes.size == assemble_Lplus(gs1_eps01, bc).n
-    assert operator_nodes(gs1_eps01, "Neumann")[0] == 0.0
-    assert operator_nodes(gs1_eps01, "Dirichlet")[0] > 0.0
-    full = operator_nodes(gs1_eps01, "FullLine")
-    np.testing.assert_allclose(full, -full[::-1], atol=1e-15)
-
-
 def test_lplus_assembly_validation(sol, cset2):
     gs2 = solve_ground_state(0.1, 2, painleve_sol=sol, correction_set=cset2)
     with pytest.raises(ValueError, match="d=1"):
@@ -129,34 +118,13 @@ def test_lplus_assembly_validation(sol, cset2):
 def test_unknown_boundary_tag(gs1_eps01):
     with pytest.raises(ValueError):
         assemble_Lplus(gs1_eps01, "Robin")
-    with pytest.raises(ValueError):
-        operator_nodes(gs1_eps01, "Robin")
-
-
-def test_layer_potential_transcription(gs1_eps01, sol):
-    # V_eps(x) = eps^(2/3) W_eps(y(x)) exactly, and W_eps tracks W0 at rate eps^(2/3)
-    y = np.linspace(-5.0, 4.0, 181)
-    w = w_eps(gs1_eps01, y)
-    x = from_boundary_layer(y, gs1_eps01.eps)
-    v = 3.0 * gs1_eps01.interp(x) ** 2 - 1.0 + x * x
-    np.testing.assert_allclose(v, 0.1 ** (2.0 / 3.0) * w, atol=1e-10)
-    dev = np.abs(w - w0_eval(sol, y)).max()
-    assert dev <= 3.0 * 0.1 ** (2.0 / 3.0)
-
-
-def test_layer_potential_validation(gs1_eps01, sol, cset2):
-    with pytest.raises(ValueError):
-        w_eps(gs1_eps01, 5.0)  # maps past the turning point of the inverse map
-    gs2 = solve_ground_state(0.1, 2, painleve_sol=sol, correction_set=cset2)
-    with pytest.raises(ValueError, match="d=1"):
-        w_eps(gs2, 0.0)
 
 
 def test_report_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
-        SpectrumReport(operator="generic", eigenvalues=[2.0, 1.0])
+        SpectrumReport(operator="generic", eigenvalues=[2.0, 1.0], eigenvectors=np.eye(2))
     with pytest.raises(ValueError, match="positive definite"):
-        SpectrumReport(operator="M0", eigenvalues=[-1.0, 1.0])
+        SpectrumReport(operator="M0", eigenvalues=[-1.0, 1.0], eigenvectors=np.eye(2))
 
 
 def test_eig_smallest_validation(gs1_eps01):
@@ -195,7 +163,7 @@ def test_decay_certificates(m0_report, sol):
     assert [c.m for c in certs] == list(range(1, 9))
     bounds = np.array([c.c_bound for c in certs])
     assert np.all(np.diff(bounds) > 0.0)  # constants grow with the level
-    oracle_bounds, _ = oracles.mp_decay_constants(assemble_M0(sol), m0_report.nodes, 8)
+    oracle_bounds, _ = oracles.mp_decay_constants(assemble_M0(sol), sol.grid.nodes[1:-1], 8)
     np.testing.assert_allclose(oracle_bounds[:4], oracles.MP_DECAY_C_BOUND,
                                rtol=oracles.MP_DECAY_RTOL)
     np.testing.assert_allclose(bounds[:4], oracles.MP_DECAY_C_BOUND, rtol=0.02)
@@ -205,11 +173,12 @@ def test_decay_certificates(m0_report, sol):
 
 
 def test_decay_check_validation(m0_report, sol):
-    plain = eig_smallest(assemble_M0(sol), 2, label="M0")
-    with pytest.raises(ValueError, match="eigenvectors"):
-        decay_check(plain, sol)
+    short = SpectrumReport(operator="M0", eigenvalues=m0_report.eigenvalues,
+                           eigenvectors=m0_report.eigenvectors[:-1])
+    with pytest.raises(ValueError, match="unknowns"):
+        decay_check(short, sol)
     renamed = SpectrumReport(operator="generic", eigenvalues=m0_report.eigenvalues,
-                             eigenvectors=m0_report.eigenvectors, nodes=m0_report.nodes)
+                             eigenvectors=m0_report.eigenvectors)
     with pytest.raises(ValueError, match="M0"):
         decay_check(renamed, sol)
 
