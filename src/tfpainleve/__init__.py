@@ -18,7 +18,6 @@ from .grids import (
     first_difference,
     second_difference,
     to_boundary_layer,
-    from_boundary_layer,
     uniform_grid,
 )
 from .painleve import (
@@ -28,7 +27,6 @@ from .painleve import (
     tail_plus,
     tail_minus,
     solve_hastings_mcleod,
-    w0_eval,
     w0_min,
 )
 from .corrections import (
@@ -36,8 +34,6 @@ from .corrections import (
     nu0_second_derivative,
     assemble_F1,
     assemble_Fn,
-    solve_correction_1,
-    solve_correction_n,
     build_corrections,
     composite_nu,
     tail_fit_window,
@@ -45,7 +41,6 @@ from .corrections import (
 from .groundstate import (
     GroundState,
     RemainderTable,
-    thomas_fermi,
     default_grid,
     solve_ground_state,
     energy,
@@ -81,7 +76,6 @@ __all__ = [
     "first_difference",
     "second_difference",
     "to_boundary_layer",
-    "from_boundary_layer",
     "uniform_grid",
     "ConvergenceError",
     "PainleveSolution",
@@ -89,20 +83,16 @@ __all__ = [
     "tail_plus",
     "tail_minus",
     "solve_hastings_mcleod",
-    "w0_eval",
     "w0_min",
     "CorrectionSet",
     "nu0_second_derivative",
     "assemble_F1",
     "assemble_Fn",
-    "solve_correction_1",
-    "solve_correction_n",
     "build_corrections",
     "composite_nu",
     "tail_fit_window",
     "GroundState",
     "RemainderTable",
-    "thomas_fermi",
     "default_grid",
     "solve_ground_state",
     "energy",

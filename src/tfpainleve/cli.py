@@ -101,6 +101,8 @@ def validate_config(cfg: dict) -> None:
     for e in cfg["eps"]:
         if not 0.0 < e <= 0.5:
             raise ConfigError(f"eps values must lie in (0, 0.5], got {e}")
+    if len(set(cfg["eps"])) < len(cfg["eps"]):
+        raise ConfigError(f"eps values must be distinct, got {cfg['eps']}")
     if not 1 <= cfg["order"] <= 3:
         raise ConfigError(f"order must be between 1 and 3, got {cfg['order']}")
     if cfg["y_min"] > -15.0 or cfg["y_max"] < 30.0:

@@ -3,8 +3,10 @@
 Each order n >= 1 solves the same linear problem
     -4 nu_n'' + W0 nu_n = F_n
 where F_n collects cubic interactions of lower orders and derivative terms of
-order n-1.  In dimension d >= 2 the first correction keeps a slowly decaying
-far-field part that is split off explicitly so the remaining solve decays fast.
+order n-1.  Each order is one Dirichlet solve on the profile grid.  The left
+end is 0.  In dimension d >= 2 the first correction keeps a slowly decaying
+far field, nu_1 ~ (1 - d) / (W0 sqrt(y)), whose value at the right end is the
+boundary value of the nu_1 solve; every other right end is 0.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class CorrectionSet:
     order: int
     terms: tuple
     forcings: tuple
-    split_part: np.ndarray | None
     beta: float
     grid_nodes: np.ndarray
 
@@ -99,50 +100,8 @@ def _check_dimension(dimension: int) -> None:
         raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
 
 
-def _cutoff(y: np.ndarray):
-    """Smoothstep ramp from 0 at y = 1/2 to 1 at y = 1, with two derivatives."""
-    t = np.clip(2.0 * y - 1.0, 0.0, 1.0)
-    phi = t * t * (3.0 - 2.0 * t)
-    inside = (y > 0.5) & (y < 1.0)
-    dphi = np.where(inside, 6.0 * t * (1.0 - t) * 2.0, 0.0)
-    d2phi = np.where(inside, (6.0 - 12.0 * t) * 4.0, 0.0)
-    return phi, dphi, d2phi
-
-
-def far_field_split(sol: PainleveSolution, dimension: int):
-    """Explicit far-field part g = (1 - d) cutoff / (W0 sqrt(y)) and its curvature.
-
-    Returns (g, g'') sampled on the grid; both vanish for y <= 1/2.  The
-    curvature is assembled analytically from nu0, nu0' and the profile
-    equation, not by differencing.
-    """
-    y = sol.grid.nodes
-    phi, dphi, d2phi = _cutoff(y)
-    mask = y > 0.5
-    g = np.zeros_like(y)
-    g2 = np.zeros_like(y)
-    ym = y[mask]
-    nu = sol.nu0[mask]
-    dnu = sol.dnu0[mask]
-    d2nu = nu0_second_derivative(sol)[mask]
-    w0 = sol.w0[mask]
-    dw0 = 6.0 * nu * dnu - 1.0
-    d2w0 = 6.0 * dnu * dnu + 6.0 * nu * d2nu
-    root = np.sqrt(ym)
-    u = w0 * root
-    du = dw0 * root + 0.5 * w0 / root
-    d2u = d2w0 * root + dw0 / root - 0.25 * w0 / root**3
-    B = 1.0 / u
-    dB = -du / u**2
-    d2B = (2.0 * du * du - u * d2u) / u**3
-    coeff = 1.0 - dimension
-    g[mask] = coeff * phi[mask] * B
-    g2[mask] = coeff * (d2phi[mask] * B + 2.0 * dphi[mask] * dB + phi[mask] * d2B)
-    return g, g2
-
-
-def _linear_solve(sol: PainleveSolution, rhs: np.ndarray) -> np.ndarray:
-    """Solve (-4 D2 + W0) v = rhs with zero Dirichlet rows at both ends."""
+def _linear_solve(sol: PainleveSolution, rhs: np.ndarray, right: float) -> np.ndarray:
+    """Solve (-4 D2 + W0) v = rhs with v = 0 at the left end and v = right at the right."""
     h = sol.grid.spacing
     n = sol.grid.n
     sub = np.full(n - 1, -4.0 / h**2)
@@ -152,7 +111,8 @@ def _linear_solve(sol: PainleveSolution, rhs: np.ndarray) -> np.ndarray:
     sub[-1] = 0.0
     sup[0] = 0.0
     b = rhs.copy()
-    b[0] = b[-1] = 0.0
+    b[0] = 0.0
+    b[-1] = right
     return solve_tridiagonal(make_operator(sub, diag, sup), b)
 
 
@@ -171,7 +131,8 @@ def loglog_slope(x: np.ndarray, v: np.ndarray) -> float:
 def tail_fit_window(sol: PainleveSolution):
     """Right-tail fit range, ending clear of the truncation boundary.
 
-    The zero-Dirichlet row pins the endpoint, and differencing spreads that
+    The Dirichlet row pins the endpoint to 0, or in d >= 2 for nu_1 to its
+    far-field value (1 - d) / (W0 sqrt(y)); differencing spreads that
     truncation bump about three units into the domain (homogeneous decay rate
     sqrt(W0)/2 per unit), so fits stop at grid.b - 3.
     """
@@ -190,27 +151,6 @@ def _check_tail_slope(sol: PainleveSolution, values: np.ndarray, expected: float
         raise ValueError(
             f"{label}: right-tail slope {slope:.3f} outside {expected:+.2f} +- 0.5"
         )
-
-
-def solve_correction_1(sol: PainleveSolution, dimension: int):
-    """First correction; in d >= 2 the far-field part is split off and re-added.
-
-    Returns (nu1, F1, split) where split is None in d = 1.
-    """
-    _check_dimension(dimension)
-    y = sol.grid.nodes
-    F1 = assemble_F1(sol, dimension)
-    if dimension == 1:
-        nu1 = _linear_solve(sol, F1)
-        return nu1, F1, None
-    g, _ = far_field_split(sol, dimension)
-    # Subtract the discrete image of g, not the analytic one: the cutoff
-    # curvature jumps at the ramp knots, and any mismatch with the grid
-    # stencil there feeds an O(1/h) spurious forcing into nu_tilde.  With
-    # the discrete image, g + nu_tilde solves the full equation exactly.
-    ftilde = F1 - (-4.0 * second_difference(g, sol.grid) + sol.w0 * g)
-    nu_tilde = _linear_solve(sol, ftilde)
-    return g + nu_tilde, F1, g
 
 
 def interaction_triples(n: int):
@@ -244,12 +184,6 @@ def assemble_Fn(sol: PainleveSolution, terms, n: int, dimension: int) -> np.ndar
     return F
 
 
-def solve_correction_n(sol: PainleveSolution, terms, n: int, dimension: int):
-    """Solve order n >= 2; returns (nu_n, F_n)."""
-    Fn = assemble_Fn(sol, terms, n, dimension)
-    return _linear_solve(sol, Fn), Fn
-
-
 def build_corrections(sol: PainleveSolution, dimension: int, order: int = 2) -> CorrectionSet:
     """Run the ladder up to the requested order (at most 3).
 
@@ -260,21 +194,25 @@ def build_corrections(sol: PainleveSolution, dimension: int, order: int = 2) -> 
     if not 1 <= order <= 3:
         raise ValueError(f"correction order must be between 1 and 3, got {order}")
     beta = TAIL_EXPONENTS[dimension]
-    nu1, F1, split = solve_correction_1(sol, dimension)
-    terms = [nu1]
-    forcings = [F1]
-    for n in range(2, order + 1):
-        nun, Fn = solve_correction_n(sol, terms, n, dimension)
+    terms = []
+    forcings = []
+    for n in range(1, order + 1):
+        if n == 1:
+            Fn = assemble_F1(sol, dimension)
+            # far-field value (1 - d) / (W0 sqrt(y)) of nu_1 at y_max; 0 in d = 1
+            right = (1 - dimension) * (1.0 / (sol.w0[-1] * np.sqrt(sol.grid.b)))
+        else:
+            Fn = assemble_Fn(sol, terms, n, dimension)
+            right = 0.0
+        nun = _linear_solve(sol, Fn, right)
+        _check_tail_slope(sol, nun, beta - 2.0 * n, f"nu_{n} (d={dimension})")
         terms.append(nun)
         forcings.append(Fn)
-    for n in range(1, order + 1):
-        _check_tail_slope(sol, terms[n - 1], beta - 2.0 * n, f"nu_{n} (d={dimension})")
     return CorrectionSet(
         dimension=dimension,
         order=order,
         terms=tuple(terms),
         forcings=tuple(forcings),
-        split_part=split,
         beta=beta,
         grid_nodes=sol.grid.nodes,
     )

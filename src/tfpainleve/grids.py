@@ -186,15 +186,3 @@ def to_boundary_layer(x, eps: float):
     y = (1.0 - x * x) / eps ** (2.0 / 3.0)
     return y if y.ndim else float(y)
 
-
-def from_boundary_layer(y, eps: float):
-    """Inverse layer map x = sqrt(1 - eps^(2/3) y) for y <= eps^(-2/3)."""
-    if not 0.0 < eps:
-        raise ValueError(f"eps must be positive, got {eps}")
-    y = np.asarray(y, dtype=float)
-    arg = 1.0 - eps ** (2.0 / 3.0) * y
-    if np.any(arg < 0.0):
-        bad = float(np.asarray(y).reshape(-1)[np.argmin(arg)])
-        raise ValueError(f"y = {bad} exceeds eps^(-2/3) = {eps ** (-2.0 / 3.0)}")
-    x = np.sqrt(arg)
-    return x if x.ndim else float(x)

@@ -50,13 +50,6 @@ class GroundState:
         write_csv(path, header, cols)
 
 
-def thomas_fermi(x):
-    """Inverted-parabola bulk profile sqrt(max(1 - x^2, 0))."""
-    x = np.asarray(x, dtype=float)
-    out = np.sqrt(np.maximum(1.0 - x * x, 0.0))
-    return out if out.ndim else float(out)
-
-
 def default_grid(eps: float, r_max: float = 2.5, nodes_per_layer: int = 40) -> Grid1D:
     """Uniform radial grid resolving the eps^(2/3) layer with the requested density."""
     width = eps ** (2.0 / 3.0)
@@ -264,6 +257,8 @@ def remainder_study(
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     if eps_arr.size < 2:
         raise ValueError("remainder study needs at least two eps values")
+    if np.unique(eps_arr).size < eps_arr.size:
+        raise ValueError(f"remainder study needs distinct eps values, got {eps_list}")
     errs = []
     for eps in eps_arr:
         gs = solve_ground_state(

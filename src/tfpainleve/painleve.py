@@ -144,11 +144,6 @@ def tail_minus(y):
     return val if val.ndim else float(val)
 
 
-def _tail_minus_deriv(y):
-    y = np.asarray(y, dtype=float)
-    return tail_minus(y) * (0.5 * np.sqrt(-y) - 0.25 / y)
-
-
 @dataclass(frozen=True)
 class PainleveSolution:
     """Converged layer profile on its grid, with derivative and W0 samples."""
@@ -170,10 +165,6 @@ class PainleveSolution:
     @cached_property
     def _nu0_spline(self) -> CubicSpline:
         return CubicSpline(self.grid.nodes, self.nu0)
-
-    @cached_property
-    def _w0_spline(self) -> CubicSpline:
-        return CubicSpline(self.grid.nodes, self.w0)
 
     def interp_nu0(self, y):
         self._require_inside(y)
@@ -273,13 +264,6 @@ def solve_hastings_mcleod(
         tol=tol,
         newton_iterations=iterations,
     )
-
-
-def w0_eval(sol: PainleveSolution, y):
-    """Cubic interpolation of W0 = 3 nu0^2 - y inside the solution grid."""
-    sol._require_inside(y)
-    out = sol._w0_spline(y)
-    return out if np.ndim(out) else float(out)
 
 
 def w0_min(sol: PainleveSolution):

@@ -236,8 +236,10 @@ def bs_eigenvalue(W: PotentialProfile, n: int) -> float:
         raise ConvergenceError(f"Bohr-Sommerfeld bracket failure: {exc}") from exc
     hi = W.well_value + span
 
-    # bisection with a secant candidate each step
+    # regula falsi with the Illinois step (an end kept twice in a row has its
+    # f halved), falling back to bisection when the candidate leaves the bracket
     mu = 0.5 * (lo + hi)
+    kept = None
     for _ in range(200):
         if f_hi != f_lo:
             mu = hi - f_hi * (hi - lo) / (f_hi - f_lo)
@@ -248,7 +250,13 @@ def bs_eigenvalue(W: PotentialProfile, n: int) -> float:
             return mu
         if f_mu > 0.0:
             hi, f_hi = mu, f_mu
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
         else:
             lo, f_lo = mu, f_mu
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
     raise ConvergenceError(f"Bohr-Sommerfeld iteration stalled at level {n}")
 

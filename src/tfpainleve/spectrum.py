@@ -30,7 +30,7 @@ from ._io import write_csv
 from .corrections import CorrectionSet
 from .grids import TridiagonalOperator, first_difference, make_operator, uniform_grid
 from .groundstate import GroundState, solve_ground_state
-from .painleve import ConvergenceError, PainleveSolution, w0_eval
+from .painleve import ConvergenceError, PainleveSolution
 
 _POSITIVE_TAGS = ("M0", "LplusNeumann", "LplusDirichlet")
 
@@ -283,7 +283,7 @@ def decay_check(report: SpectrumReport, sol: PainleveSolution, cap: float = 100.
             f"but the M0 operator of sol has {y.size} unknowns"
         )
     grid = uniform_grid(y[0], y[-1], y.size)
-    w0 = w0_eval(sol, y)
+    w0 = sol.w0[1:-1]
     growth = np.exp(np.abs(y))
     deriv_growth = growth / (np.abs(y) + 1.0)
     certs = []

@@ -8,8 +8,9 @@ the half-line L+ sectors, extended-precision inverse iteration
 instead of double-precision eigenvectors,
 direct enumeration instead of the generator, symbolic quadrature instead
 of the trapezoid energy, and Brent turning points with adaptive quadrature
-instead of the Newton-solved Gauss-Legendre action.  None of these helpers
-import from tfpainleve.
+instead of the Newton-solved Gauss-Legendre action.  The closed-form
+Thomas-Fermi bulk profile lives here too.  None of these helpers import from
+tfpainleve.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ SHOOTING_TOL = 1.5e-8
 # grid (6001 nodes on [-20, 40]), relative drift guard of the oracle itself.
 MP_DECAY_C_BOUND = (0.90618775514, 6.6297595897, 36.138967452, 164.44637376)
 MP_DECAY_RTOL = 1e-8
+
+
+def thomas_fermi(x):
+    """Inverted-parabola bulk profile sqrt(max(1 - x^2, 0))."""
+    x = np.asarray(x, dtype=float)
+    out = np.sqrt(np.maximum(1.0 - x * x, 0.0))
+    return out if out.ndim else float(out)
 
 
 def _rhs(y, state):

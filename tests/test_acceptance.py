@@ -12,6 +12,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 import oracles
+from oracles import thomas_fermi
 from surrogates import simplified
 from tfpainleve import (
     assemble_M0,
@@ -28,9 +29,7 @@ from tfpainleve import (
     solve_hastings_mcleod,
     tail_fit_window,
     tail_plus,
-    thomas_fermi,
     uniform_grid,
-    w0_eval,
     w0_min,
 )
 from tfpainleve.corrections import loglog_slope
@@ -146,7 +145,7 @@ def test_criterion_08_bohr_sommerfeld_closed_form_and_w0(sol, m0_report):
 def test_criterion_09_sturm_matches_dense_oracle(sol, rng):
     grid = uniform_grid(-20.0, 40.0, 200)
     h = grid.spacing
-    w = w0_eval(sol, grid.nodes)[1:-1]
+    w = from_solution(sol)(grid.nodes)[1:-1]
     off = np.full(w.size - 1, -4.0 / h**2)
     layer_op = make_operator(off, 8.0 / h**2 + w, off)
     diag = 1.0 + rng.random(200)
@@ -171,7 +170,7 @@ def test_criterion_10_eigenfunction_decay_prefactors(sol, m0_report):
     # identity, then decay rate >= 1 wherever W0 > mu_m + 4 (comparison)
     y = sol.grid.nodes[1:-1]
     h = y[1] - y[0]
-    w0 = w0_eval(sol, y)
+    w0 = sol.w0[1:-1]
     w_low = w0_min(sol)[1]
     for cert, mu in zip(certs, m0_report.eigenvalues):
         reach = float(np.max(np.abs(y[w0 <= mu + 4.0])))

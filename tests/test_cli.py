@@ -75,6 +75,7 @@ def test_load_config_errors(tmp_path):
         ("bs_levels", (), "bs_levels"),
         ("bs_levels", (0, 2), "bs_levels"),
         ("order", 0, "order"),
+        ("eps", (0.1, 0.1), "distinct"),
     ],
 )
 def test_validate_config_rejects(key, value, fragment):

@@ -10,10 +10,9 @@ from tfpainleve import (
     first_difference,
     nu0_second_derivative,
     second_difference,
-    solve_correction_1,
     tail_fit_window,
 )
-from tfpainleve.corrections import far_field_split, interaction_triples, loglog_slope
+from tfpainleve.corrections import interaction_triples, loglog_slope
 
 
 def interior_residual(sol, v, rhs):
@@ -47,16 +46,21 @@ def test_corrections_solve_their_linear_equations(sol, cset1, cset2, cset3, d):
     cset = {1: cset1, 2: cset2, 3: cset3}[d]
     for n in (1, 2):
         res = interior_residual(sol, cset.term(n), cset.forcing(n))
-        assert res.max() <= 1e-8
+        assert res.max() <= 2e-10
 
 
-def test_split_leaves_no_residual_at_cutoff_knots(sol, cset2):
-    # regression: subtracting the analytic image of the far-field part left
-    # O(1) forcing defects at the ramp knots y = 1/2 and y = 1
-    y = sol.grid.nodes
-    res = interior_residual(sol, cset2.term(1), cset2.forcing(1))
-    near_knots = (y[1:-1] >= 0.4) & (y[1:-1] <= 1.1)
-    assert res[near_knots].max() <= 1e-8
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_corrections_meet_their_boundary_values(sol, cset1, cset2, cset3, d):
+    # nu_1 ends at its far-field value (1 - d) / (W0 sqrt(y)), 0 in d = 1;
+    # every other end is 0 up to the solver's pivoting roundoff
+    cset = {1: cset1, 2: cset2, 3: cset3}[d]
+    nu1, nu2 = cset.term(1), cset.term(2)
+    assert abs(nu1[0]) <= 1e-15
+    y_max = sol.grid.b
+    far = (1 - d) / (sol.w0[-1] * np.sqrt(y_max))
+    assert nu1[-1] == pytest.approx(far, rel=1e-15, abs=0.0)
+    assert abs(nu2[-1]) <= 1e-15
+    np.testing.assert_array_equal(cset.forcing(1), assemble_F1(sol, d))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -79,19 +83,6 @@ def test_first_forcing_cancellation_in_d1(sol):
     assert loglog_slope(y[mask], F1[mask]) == pytest.approx(-3.5, abs=0.3)
 
 
-def test_far_field_split_is_exact_beyond_the_ramp(sol):
-    y = sol.grid.nodes
-    for d in (2, 3):
-        g, g2 = far_field_split(sol, d)
-        assert np.all(g[y <= 0.5] == 0.0)
-        far = y >= 1.0
-        expected = (1.0 - d) / (sol.w0[far] * np.sqrt(y[far]))
-        np.testing.assert_allclose(g[far], expected, rtol=0, atol=1e-15)
-        smooth = (y >= 1.5) & (y <= 35.0)
-        d2 = second_difference(g, sol.grid)
-        assert np.max(np.abs(g2[smooth] - d2[smooth])) <= 5e-5
-
-
 def test_nu0_curvature_identity(sol):
     # the converged samples satisfy the discrete profile equation, so the
     # equation-based curvature matches the stencil to residual/4
@@ -100,8 +91,6 @@ def test_nu0_curvature_identity(sol):
 
 
 def test_split_metadata(cset1, cset2):
-    assert cset1.split_part is None
-    assert cset2.split_part is not None
     assert cset1.beta == -2.5
     assert cset2.beta == 0.5
 
@@ -122,12 +111,6 @@ def test_build_corrections_validation(sol):
         build_corrections(sol, 1, order=0)
     with pytest.raises(ValueError):
         build_corrections(sol, 1, order=4)
-
-
-def test_solve_correction_1_returns_no_split_in_d1(sol):
-    nu1, F1, split = solve_correction_1(sol, 1)
-    assert split is None
-    np.testing.assert_allclose(F1, assemble_F1(sol, 1), atol=1e-15)
 
 
 def test_assemble_Fn_validation(sol, cset1):

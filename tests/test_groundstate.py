@@ -13,19 +13,11 @@ from tfpainleve import (
     remainder_study,
     solve_ground_state,
     tail_minus,
-    thomas_fermi,
     to_boundary_layer,
     uniform_grid,
 )
+from oracles import thomas_fermi
 from tfpainleve.corrections import composite_nu
-
-
-def test_thomas_fermi_values():
-    assert thomas_fermi(0.0) == 1.0
-    assert thomas_fermi(1.0) == 0.0
-    assert thomas_fermi(2.0) == 0.0
-    assert thomas_fermi(0.6) == pytest.approx(0.8, abs=1e-15)
-    np.testing.assert_allclose(thomas_fermi(np.array([0.0, 0.6])), [1.0, 0.8])
 
 
 def test_thomas_fermi_energy_matches_symbolic_quadrature():
@@ -166,6 +158,8 @@ def test_remainder_table_fields(sol, cset1):
 def test_remainder_study_needs_two_eps(sol, cset1):
     with pytest.raises(ValueError):
         remainder_study(sol, cset1, (0.1,), 1)
+    with pytest.raises(ValueError, match="distinct"):
+        remainder_study(sol, cset1, (0.1, 0.1), 1)
 
 
 def test_ground_state_csv(gs1_eps01, sol, cset1, tmp_path):

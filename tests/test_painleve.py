@@ -5,11 +5,11 @@ import oracles
 from tfpainleve import (
     ConvergenceError,
     bn_coefficients,
+    from_solution,
     second_difference,
     solve_hastings_mcleod,
     tail_minus,
     tail_plus,
-    w0_eval,
     w0_min,
 )
 from tfpainleve.grids import Grid1D
@@ -128,8 +128,9 @@ def test_w0_positive_and_frozen_minimum(sol):
 
 
 def test_w0_far_field(sol):
-    assert w0_eval(sol, -15.0) == pytest.approx(15.0, rel=1e-5)
-    assert w0_eval(sol, sol.grid.b) == pytest.approx(80.0, rel=0.01)
+    W = from_solution(sol)
+    assert float(W(-15.0)) == pytest.approx(15.0, rel=1e-5)
+    assert float(W(sol.grid.b)) == pytest.approx(80.0, rel=0.01)
 
 
 def test_w0_min_stable_under_halving(sol):

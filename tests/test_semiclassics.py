@@ -17,6 +17,7 @@ from tfpainleve import (
     turning_points,
     w0_min,
 )
+from tfpainleve import semiclassics
 from tfpainleve.semiclassics import PotentialProfile, _branch_positions
 
 
@@ -102,6 +103,21 @@ def test_bs_eigenvalue_validation():
     with pytest.raises(ConvergenceError, match="bracket failure"):
         bs_eigenvalue(simplified(), 75)
 
+
+def test_bs_eigenvalue_action_budget(sol, monkeypatch):
+    # deterministic guard on the Illinois step: plain regula falsi keeps one
+    # bracket end and spends 107 action calls on this table
+    profile = from_solution(sol)
+    calls = []
+
+    def counted(W, mu):
+        calls.append(mu)
+        return action(W, mu)
+
+    monkeypatch.setattr(semiclassics, "action", counted)
+    for n in range(1, 9):
+        bs_eigenvalue(profile, n)
+    assert len(calls) <= 90
 
 
 def test_layer_action_matches_quadrature_oracle(sol):

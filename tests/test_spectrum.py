@@ -13,8 +13,8 @@ from tfpainleve import (
     make_operator,
     scaling_study,
     solve_ground_state,
+    from_solution,
     uniform_grid,
-    w0_eval,
 )
 
 M0_FIRST_EIGHT = [2.410531, 4.508181, 6.273440, 7.840016,
@@ -29,7 +29,7 @@ def test_m0_smallest_eigenvalues_regression(m0_report):
 def test_sturm_matches_dense_oracle_on_m0_instance(sol):
     grid = uniform_grid(-20.0, 40.0, 200)
     h = grid.spacing
-    w = w0_eval(sol, grid.nodes)[1:-1]
+    w = from_solution(sol)(grid.nodes)[1:-1]
     off = np.full(w.size - 1, -4.0 / h**2)
     op = make_operator(off, 8.0 / h**2 + w, off)
     mine = eig_smallest(op, 10).eigenvalues
