@@ -101,6 +101,10 @@ def validate_config(cfg: dict) -> None:
     for e in cfg["eps"]:
         if not 0.0 < e <= 0.5:
             raise ConfigError(f"eps values must lie in (0, 0.5], got {e}")
+        if e * cfg["dimension"] >= 1.0:
+            raise ConfigError(
+                f"eps * dimension must be below 1, got eps = {e} in dimension {cfg['dimension']}"
+            )
     if len(set(cfg["eps"])) < len(cfg["eps"]):
         raise ConfigError(f"eps values must be distinct, got {cfg['eps']}")
     if not 1 <= cfg["order"] <= 3:

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ._io import write_csv
-from .grids import first_difference, make_operator, second_difference, solve_tridiagonal
-from .painleve import PainleveSolution
+from .grids import first_difference, second_difference, solve_tridiagonal
+from .painleve import PainleveSolution, layer_operator
 
 # far-field exponent of nu_n y^(beta - 2n): beta = -5/2 in d = 1 where the
 # leading forcing cancels, beta = 1/2 otherwise
@@ -103,17 +103,10 @@ def _check_dimension(dimension: int) -> None:
 def _linear_solve(sol: PainleveSolution, rhs: np.ndarray, right: float) -> np.ndarray:
     """Solve (-4 D2 + W0) v = rhs with v = 0 at the left end and v = right at the right."""
     h = sol.grid.spacing
-    n = sol.grid.n
-    sub = np.full(n - 1, -4.0 / h**2)
-    sup = np.full(n - 1, -4.0 / h**2)
-    diag = 8.0 / h**2 + sol.w0
-    diag[0] = diag[-1] = 1.0
-    sub[-1] = 0.0
-    sup[0] = 0.0
-    b = rhs.copy()
-    b[0] = 0.0
-    b[-1] = right
-    return solve_tridiagonal(make_operator(sub, diag, sup), b)
+    b = rhs[1:-1].copy()
+    b[-1] += 4.0 * right / h**2
+    v = solve_tridiagonal(layer_operator(h, sol.w0[1:-1]), b)
+    return np.concatenate(([0.0], v, [right]))
 
 
 def loglog_slope(x: np.ndarray, v: np.ndarray) -> float:

@@ -120,40 +120,24 @@ def solve_tridiagonal(op: TridiagonalOperator, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _fd_weights(xs: np.ndarray, x0: float, order: int) -> np.ndarray:
-    """Finite-difference weights for the ``order``-th derivative at ``x0``.
-
-    Solves the small Vandermonde moment system; adequate for the short
-    stencils used here.
-    """
-    m = xs.size
-    A = np.vander(xs - x0, m, increasing=True).T
-    b = np.zeros(m)
-    fact = 1.0
-    for k in range(2, order + 1):
-        fact *= k
-    b[order] = fact
-    return np.linalg.solve(A, b)
-
-
 def second_difference(values: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Discrete second derivative: 3-point interior, one-sided 4-point ends.
 
-    Interior stencil is the standard nonuniform 3-point formula, exact on
-    quadratics; endpoint stencils are one-sided second order (exact on cubics).
+    The interior stencil (v[i-1] - 2 v[i] + v[i+1]) / h^2 is exact on
+    quadratics; the end stencils (2 v0 - 5 v1 + 4 v2 - v3) / h^2 are one-sided
+    second order, exact on cubics.  On 3 nodes every entry is the centered value.
     """
     v = np.asarray(values, dtype=float)
-    x = grid.nodes
-    if v.shape != x.shape:
-        raise ValueError(f"values shape {v.shape} does not match grid size {x.size}")
+    if v.shape != grid.nodes.shape:
+        raise ValueError(f"values shape {v.shape} does not match grid size {grid.n}")
+    h2 = grid.spacing**2
     out = np.empty_like(v)
-    hl = x[1:-1] - x[:-2]
-    hr = x[2:] - x[1:-1]
-    out[1:-1] = 2.0 * (hl * v[2:] - (hl + hr) * v[1:-1] + hr * v[:-2]) / (hl * hr * (hl + hr))
-    wl = _fd_weights(x[:4], x[0], 2)
-    wr = _fd_weights(x[-4:], x[-1], 2)
-    out[0] = wl @ v[:4]
-    out[-1] = wr @ v[-4:]
+    out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h2
+    if v.size == 3:
+        out[0] = out[-1] = out[1]
+    else:
+        out[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
+        out[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
     return out
 
 
@@ -161,20 +145,20 @@ def first_difference(values: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Discrete first derivative.
 
     The 5-point fourth-order stencil at interior nodes, the centered
-    second-order formula next to each end and one-sided second-order formulas
+    second-order formula next to each end and the one-sided second-order
+    formulas (-3 v0 + 4 v1 - v2) / (2h) and (3 v[-1] - 4 v[-2] + v[-3]) / (2h)
     at the ends.
     """
     v = np.asarray(values, dtype=float)
-    x = grid.nodes
-    if v.shape != x.shape:
-        raise ValueError(f"values shape {v.shape} does not match grid size {x.size}")
+    if v.shape != grid.nodes.shape:
+        raise ValueError(f"values shape {v.shape} does not match grid size {grid.n}")
     out = np.empty_like(v)
     h = grid.spacing
     out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
     out[1] = (v[2] - v[0]) / (2.0 * h)
     out[-2] = (v[-1] - v[-3]) / (2.0 * h)
-    out[0] = _fd_weights(x[:3], x[0], 1) @ v[:3]
-    out[-1] = _fd_weights(x[-3:], x[-1], 1) @ v[-3:]
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     return out
 
 

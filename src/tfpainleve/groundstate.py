@@ -2,7 +2,8 @@
 
 The profile eta(r) >= 0 solves
     eps^2 (eta'' + (d-1)/r eta') + (1 - r^2) eta - eta^3 = 0
-on [0, r_max] with a symmetry condition at the origin and decay at r_max.
+on [0, r_max] with a symmetry condition at the origin and eta(r_max) = 0;
+its Newton Jacobian ``trap_operator`` is the operator L+ of ``spectrum``.
 The composite approximation transplants the layer expansion back to the trap
 coordinate; comparing the two at shrinking eps measures the remainder order.
 """
@@ -15,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv
-from .corrections import CorrectionSet, composite_nu
-from .grids import Grid1D, first_difference, to_boundary_layer, uniform_grid
+from .corrections import CorrectionSet, composite_nu, loglog_slope
+from .grids import (Grid1D, TridiagonalOperator, first_difference, make_operator,
+                    to_boundary_layer, uniform_grid)
 from .painleve import ConvergenceError, PainleveSolution, damped_newton, tail_minus
 
-_CONTINUATION_START = 0.3
+_MAX_ITERATIONS = 60
 _NEGATIVE_SLACK = 1e-12
 
 
@@ -34,7 +36,6 @@ class GroundState:
     residual_max: float
     tol: float
     newton_iterations: int
-    continuation_path: tuple
 
     def __post_init__(self):
         eta = np.asarray(self.eta, dtype=float)
@@ -57,46 +58,36 @@ def default_grid(eps: float, r_max: float = 2.5, nodes_per_layer: int = 40) -> G
     return uniform_grid(0.0, r_max, n)
 
 
-def _smoothed_guess(eps: float, r: np.ndarray) -> np.ndarray:
-    # same algebraic regularization as the layer solver's initial guess
-    y = to_boundary_layer(r, eps)
-    return eps ** (1.0 / 3.0) * np.sqrt((y + np.sqrt(y * y + 4.0)) / 2.0)
+def trap_operator(eps: float, d: int, grid: Grid1D, eta: np.ndarray) -> TridiagonalOperator:
+    """L+ = -eps^2 (D2 + (d-1)/r D) + 3 eta^2 - 1 + r^2 on the nodes r < r_max.
+
+    ``eta`` holds the profile on those nodes; it vanishes at r_max.  The
+    origin row is the regular limit -eps^2 d D2, with the ghost node
+    eta(-h) = eta(h) doubling its super-diagonal.  This is the Jacobian of
+    ``_residual``.
+    """
+    r = grid.nodes[:-1]
+    c = eps * eps / grid.spacing**2
+    drift = np.zeros(r.size)
+    drift[1:] = eps * eps * (d - 1.0) / (2.0 * grid.spacing * r[1:])
+    diag = 2.0 * c + (3.0 * eta**2 - 1.0 + r * r)
+    diag[0] += 2.0 * (d - 1.0) * c
+    sup = -(c + drift[:-1])
+    sup[0] = -2.0 * d * c
+    return make_operator(-(c - drift[1:]), diag, sup)
 
 
 def _residual(eta, r, h, eps, d):
-    res = np.empty_like(eta)
+    # -(eps^2 Laplacian + (1 - r^2) eta - eta^3) on the nodes r < r_max
+    eta = np.append(eta, 0.0)
+    res = np.empty(eta.size - 1)
     e2 = eps * eps
     lap = (eta[:-2] - 2.0 * eta[1:-1] + eta[2:]) / h**2
     drift = (eta[2:] - eta[:-2]) / (2.0 * h) * ((d - 1.0) / r[1:-1])
-    res[1:-1] = e2 * (lap + drift) + (1.0 - r[1:-1] ** 2) * eta[1:-1] - eta[1:-1] ** 3
+    res[1:] = -(e2 * (lap + drift) + (1.0 - r[1:-1] ** 2) * eta[1:-1] - eta[1:-1] ** 3)
     # r = 0: regularity turns the radial Laplacian into d * eta''(0)
-    res[0] = e2 * d * 2.0 * (eta[1] - eta[0]) / h**2 + eta[0] - eta[0] ** 3
-    res[-1] = eta[-1]
+    res[0] = -(e2 * d * 2.0 * (eta[1] - eta[0]) / h**2 + eta[0] - eta[0] ** 3)
     return res
-
-
-def _newton(eta, r, h, eps, d, tol, max_iterations):
-    n = r.size
-    e2 = eps * eps
-    inv_r = (d - 1.0) / r[1:-1]
-    sub = np.empty(n - 1)
-    sup = np.empty(n - 1)
-    sub[:-1] = e2 * (1.0 / h**2 - inv_r / (2.0 * h))
-    sup[1:] = e2 * (1.0 / h**2 + inv_r / (2.0 * h))
-    sup[0] = 2.0 * d * e2 / h**2
-    sub[-1] = 0.0
-
-    def jacobian(eta):
-        diag = np.empty(n)
-        diag[1:-1] = -2.0 * e2 / h**2 + (1.0 - r[1:-1] ** 2) - 3.0 * eta[1:-1] ** 2
-        diag[0] = -2.0 * d * e2 / h**2 + 1.0 - 3.0 * eta[0] ** 2
-        diag[-1] = 1.0
-        return sub, diag, sup
-
-    return damped_newton(
-        lambda eta: _residual(eta, r, h, eps, d), jacobian, eta, tol, max_iterations,
-        what=f"ground state Newton at eps={eps:g}",
-    )
 
 
 def solve_ground_state(
@@ -105,23 +96,28 @@ def solve_ground_state(
     tol: float = 1e-8,
     r_max: float = 2.5,
     nodes_per_layer: int = 40,
-    painleve_sol: PainleveSolution | None = None,
-    correction_set: CorrectionSet | None = None,
-    max_iterations: int = 60,
+    *,
+    painleve_sol: PainleveSolution,
+    correction_set: CorrectionSet,
 ) -> GroundState:
-    """Damped-Newton solve for the positive radial profile.
+    """Damped-Newton solve for the positive radial profile, seeded with the composite.
 
     The grid is ``default_grid`` on [0, max(r_max, 2, 1 + 6 eps^(2/3))], so it
-    reaches past the decay region beyond r = 1.  The initial guess is the
-    composite approximation when a profile solution and correction set are
-    supplied, else the smoothed bulk profile.  If the direct solve stalls,
-    continuation restarts from eps = 0.3 and halves eps until the target,
-    reusing each converged state as the next guess.
+    reaches past the decay region beyond r = 1; the profile vanishes at its
+    end.  The initial guess is the composite approximation of
+    ``painleve_sol`` and ``correction_set``; each Newton step solves with
+    ``trap_operator``, the operator L+ at the iterate.  A positive state
+    exists only for eps * dimension < 1; other pairs are a ValueError.
     """
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps must lie in (0, 0.5], got {eps}")
     if dimension not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
+    if eps * dimension >= 1.0:
+        raise ValueError(
+            f"no positive ground state for eps * dimension >= 1, got eps={eps:g}, "
+            f"dimension={dimension}"
+        )
     width = eps ** (2.0 / 3.0)
     r_need = max(2.0, 1.0 + 6.0 * width)
     grid = default_grid(eps, r_max=max(r_max, r_need), nodes_per_layer=nodes_per_layer)
@@ -133,32 +129,13 @@ def solve_ground_state(
             "need at least 20 nodes per layer width"
         )
 
-    if painleve_sol is not None and correction_set is not None:
-        eta0 = composite_eta(painleve_sol, correction_set, eps, r)
-    else:
-        eta0 = _smoothed_guess(eps, r)
-    eta0[-1] = 0.0
-
-    path = [eps]
-    try:
-        eta, rnorm, iterations = _newton(eta0, r, h, eps, dimension, tol, max_iterations)
-    except ConvergenceError:
-        # continuation from a loose eps down to the target
-        path = []
-        eps_k = _CONTINUATION_START
-        ladder = []
-        while eps_k > eps * 1.0000001:
-            ladder.append(eps_k)
-            eps_k *= 0.5
-        ladder.append(eps)
-        current = _smoothed_guess(ladder[0], r)
-        current[-1] = 0.0
-        total_iter = 0
-        for ek in ladder:
-            current, rnorm, its = _newton(current, r, h, ek, dimension, tol, max_iterations)
-            total_iter += its
-            path.append(ek)
-        eta, iterations = current, total_iter
+    eta0 = composite_eta(painleve_sol, correction_set, eps, r[:-1])
+    eta, rnorm, iterations = damped_newton(
+        lambda eta: _residual(eta, r, h, eps, dimension),
+        lambda eta: trap_operator(eps, dimension, grid, eta),
+        eta0, tol, _MAX_ITERATIONS, what=f"ground state Newton at eps={eps:g}",
+    )
+    eta = np.append(eta, 0.0)
 
     if np.any(eta < -_NEGATIVE_SLACK):
         raise ConvergenceError("ground state lost positivity beyond rounding slack")
@@ -173,7 +150,6 @@ def solve_ground_state(
         residual_max=rnorm,
         tol=tol,
         newton_iterations=iterations,
-        continuation_path=tuple(path),
     )
 
 
@@ -269,8 +245,7 @@ def remainder_study(
     errs = np.asarray(errs)
     pair = np.full(eps_arr.size, np.nan)
     pair[1:] = np.log(errs[:-1] / errs[1:]) / np.log(eps_arr[:-1] / eps_arr[1:])
-    le = np.log(eps_arr) - np.log(eps_arr).mean()
-    fit = float((le @ (np.log(errs) - np.log(errs).mean())) / (le @ le))
+    fit = loglog_slope(eps_arr, errs)
     return RemainderTable(
         dimension=dimension,
         order=cset.order,

@@ -4,7 +4,9 @@ The layer profile nu0 solves 4 nu'' + y nu - nu^3 = 0, grows like sqrt(y) on
 the right, and decays to zero through an Airy-type tail on the left.  This
 module computes its asymptotic series, solves the two-point problem by damped
 Newton iteration, and evaluates the linearization potential W0 = 3 nu0^2 - y.
-Its ``damped_newton`` kernel also serves the ground-state solve.
+``layer_operator`` assembles -4 D2 + w, the Newton Jacobian here and, with
+w = W0, the operator M0 of the correction ladder and the spectrum; the
+``damped_newton`` kernel also serves the ground-state solve.
 """
 
 from __future__ import annotations
@@ -17,17 +19,18 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from ._io import write_csv
-from .grids import Grid1D, first_difference, make_operator, solve_tridiagonal, uniform_grid
+from .grids import Grid1D, TridiagonalOperator, first_difference, solve_tridiagonal, uniform_grid
 
 
 class ConvergenceError(RuntimeError):
     """Raised when a damped Newton iteration fails to reach its tolerance."""
 
 
-def damped_newton(residual, jacobian, x0, tol, max_iterations, floor=None, what="Newton"):
+def damped_newton(residual, jacobian, x0, tol, budget, floor=None, what="Newton"):
     """Newton iteration on a tridiagonal Jacobian, halving each step until the residual drops.
 
-    ``jacobian(x)`` returns the (sub, diag, sup) bands at ``x``.  When the full
+    ``jacobian(x)`` returns the Jacobian of ``residual`` at ``x`` as a
+    ``TridiagonalOperator``; at most ``budget`` steps are taken.  When the full
     step does not lower the max-norm residual and that residual is at or below
     ``floor(x)``, the iteration ends at once as converged: the iterate sits on
     its rounding floor, and halving would only re-evaluate it.  Otherwise the
@@ -39,11 +42,11 @@ def damped_newton(residual, jacobian, x0, tol, max_iterations, floor=None, what=
     rnorm = float(np.abs(res).max())
     iterations = 0
     while rnorm > tol:
-        if iterations >= max_iterations:
+        if iterations >= budget:
             raise ConvergenceError(
                 f"{what} stalled after {iterations} iterations, residual {rnorm:.3e}"
             )
-        delta = solve_tridiagonal(make_operator(*jacobian(x)), -res)
+        delta = solve_tridiagonal(jacobian(x), -res)
         step = 1.0
         for halving in range(40):
             cand = x + step * delta
@@ -186,16 +189,20 @@ _SERIES_TERMS = 6
 _MAX_ITERATIONS = 50
 
 
-def _newton_residual(nu, y, h, left, right):
-    r = np.empty_like(nu)
-    r[0] = nu[0] - left
-    r[-1] = nu[-1] - right
-    r[1:-1] = (
+def layer_operator(h: float, w: np.ndarray) -> TridiagonalOperator:
+    """-4 D2 + w on interior nodes of spacing h, with zero Dirichlet data at both ends."""
+    w = np.asarray(w, dtype=float)
+    off = np.full(w.size - 1, -4.0 / h**2)
+    return TridiagonalOperator(off, 8.0 / h**2 + w, off, symmetric=True)
+
+
+def _newton_residual(inner, y, h, left, right):
+    nu = np.concatenate(([left], inner, [right]))
+    return -(
         4.0 * (nu[:-2] - 2.0 * nu[1:-1] + nu[2:]) / h**2
         + y[1:-1] * nu[1:-1]
         - nu[1:-1] ** 3
     )
-    return r
 
 
 def solve_hastings_mcleod(
@@ -207,7 +214,9 @@ def solve_hastings_mcleod(
     """Damped-Newton solve of 4 D2 nu + y nu - nu^3 = 0 with tail pinning.
 
     Dirichlet values come from the asymptotic tails: tail_minus at y_min and
-    the tail_plus series at y_max.  The initial guess
+    the tail_plus series at y_max.  The unknowns are the interior nodes; the
+    Jacobian of -(4 D2 nu + y nu - nu^3) there is ``layer_operator(h, 3 nu^2 - y)``,
+    the operator M0 at the iterate.  The initial guess
     nu(y) = sqrt((y + sqrt(y^2 + 4)) / 2) interpolates between both regimes.
     Newton steps are halved until the max-norm residual decreases; a stall at
     the rounding floor of the second-difference stencil (relevant at fine
@@ -226,22 +235,15 @@ def solve_hastings_mcleod(
     right, _ = tail_plus(y_max, bn_coefficients(_SERIES_TERMS))
 
     nu = np.sqrt((y + np.sqrt(y * y + 4.0)) / 2.0)
-    nu[0], nu[-1] = left, right
-    sub = np.full(n_nodes - 1, 4.0 / h**2)
-    sup = sub.copy()
-    sub[-1] = sup[0] = 0.0
-
-    def jacobian(nu):
-        diag = -8.0 / h**2 + y - 3.0 * nu * nu
-        diag[0] = diag[-1] = 1.0
-        return sub, diag, sup
-
     # the difference stencil amplifies rounding to ~eps_mach |nu| / h^2;
     # a stall at that floor is convergence, not failure
-    nu, rnorm, iterations = damped_newton(
-        lambda nu: _newton_residual(nu, y, h, left, right), jacobian, nu, tol, _MAX_ITERATIONS,
-        floor=lambda nu: 32.0 * np.finfo(float).eps * float(np.abs(nu).max()) / h**2,
+    inner, rnorm, iterations = damped_newton(
+        lambda v: _newton_residual(v, y, h, left, right),
+        lambda v: layer_operator(h, 3.0 * v * v - y[1:-1]),
+        nu[1:-1], tol, _MAX_ITERATIONS,
+        floor=lambda v: 32.0 * np.finfo(float).eps * max(float(np.abs(v).max()), right) / h**2,
     )
+    nu = np.concatenate(([left], inner, [right]))
 
     if np.any(nu <= 0.0):
         raise ConvergenceError("converged iterate is not strictly positive")

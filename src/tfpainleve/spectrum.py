@@ -20,7 +20,6 @@ roughly like e^{mu_m}, so a cap on it is a threshold of the caller's choosing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +28,8 @@ from scipy.linalg import LinAlgError, eigh_tridiagonal
 from ._io import write_csv
 from .corrections import CorrectionSet
 from .grids import TridiagonalOperator, first_difference, make_operator, uniform_grid
-from .groundstate import GroundState, solve_ground_state
-from .painleve import ConvergenceError, PainleveSolution
+from .groundstate import GroundState, solve_ground_state, trap_operator
+from .painleve import ConvergenceError, PainleveSolution, layer_operator
 
 _POSITIVE_TAGS = ("M0", "LplusNeumann", "LplusDirichlet")
 
@@ -60,36 +59,27 @@ class SpectrumReport:
 
 def assemble_M0(sol: PainleveSolution) -> TridiagonalOperator:
     """Dirichlet discretization of -4 d^2/dy^2 + W0 on the interior layer nodes."""
-    h = sol.grid.spacing
-    diag = 8.0 / h**2 + sol.w0[1:-1]
-    off = np.full(diag.size - 1, -4.0 / h**2)
-    return make_operator(off, diag, off)
+    return layer_operator(sol.grid.spacing, sol.w0[1:-1])
 
 
 def assemble_Lplus(gs: GroundState, bc: str) -> TridiagonalOperator:
     """FD matrix for -eps^2 d^2/dx^2 + 3 eta^2 - 1 + x^2 with the requested condition.
 
-    Neumann / Dirichlet at the origin select the even / odd sector of the full
-    line.  The Neumann ghost row is symmetrized by scaling the origin unknown
-    by sqrt(2), which leaves the spectrum unchanged and makes the even sector
-    match the assembly on the mirrored interval exactly.
+    This is ``trap_operator``, the d = 1 ground-state Newton Jacobian, at the
+    solution, symmetrized by scaling the origin unknown by sqrt(2): the
+    off-diagonals -sqrt(sub * sup) are -eps^2 / h^2, times sqrt(2) at the
+    origin.  The spectrum is unchanged, and the even sector matches the
+    assembly on the mirrored interval exactly.  Neumann / Dirichlet at the
+    origin select the even / odd sector: the matrix, or it without the origin row.
     """
     if gs.dimension != 1:
         raise ValueError(f"L+ assembly needs a d=1 profile, got d={gs.dimension}")
-    h = gs.grid.spacing
-    r = gs.grid.nodes
-    v = 3.0 * gs.eta**2 - 1.0 + r * r
-    c = gs.eps**2 / h**2
-    if bc == "Neumann":
-        diag = 2.0 * c + v[:-1]
-        off = np.full(diag.size - 1, -c)
-        off[0] = -math.sqrt(2.0) * c
-    elif bc == "Dirichlet":
-        diag = 2.0 * c + v[1:-1]
-        off = np.full(diag.size - 1, -c)
-    else:
+    if bc not in ("Neumann", "Dirichlet"):
         raise ValueError(f"unknown boundary tag {bc!r}")
-    return make_operator(off, diag, off)
+    op = trap_operator(gs.eps, 1, gs.grid, gs.eta[:-1])
+    off = -np.sqrt(op.sub * op.sup)
+    first = 1 if bc == "Dirichlet" else 0
+    return make_operator(off[first:], op.diag[first:], off[first:])
 
 
 def eig_smallest(op: TridiagonalOperator, k: int, label: str = "generic") -> SpectrumReport:

@@ -85,6 +85,17 @@ def test_validate_config_rejects(key, value, fragment):
         validate_config(cfg)
 
 
+def test_groundstate_rejects_eps_times_dimension_at_least_one(tmp_path, capsys):
+    # no positive d = 3 state exists for eps >= 1/3: the solve would write rounding noise
+    cfg = tmp_path / "d3.cfg"
+    cfg.write_text("dimension = 3\neps = 0.1, 0.34\n")
+    rc = main(["groundstate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "eps * dimension" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_bad_config_is_exit_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("eps = 0.9\n")

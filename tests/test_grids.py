@@ -103,6 +103,13 @@ def test_first_difference_exact_on_quadratics_short_grids(n):
     np.testing.assert_allclose(first_difference(x**2 - 3.0 * x, g), 2.0 * x - 3.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_second_difference_exact_on_quadratics_short_grids(n):
+    g = uniform_grid(-1.0, 2.0, n)
+    x = g.nodes
+    np.testing.assert_allclose(second_difference(2.5 * x**2 - 3.0 * x + 1.0, g), 5.0, atol=1e-12)
+
+
 def test_boundary_layer_maps_roundtrip():
     eps = 0.05
     x = np.linspace(0.0, 1.4, 40)

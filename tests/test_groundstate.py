@@ -31,7 +31,6 @@ def test_thomas_fermi_energy_matches_symbolic_quadrature():
 def test_ground_state_invariants(gs1_eps01):
     gs = gs1_eps01
     assert gs.residual_max <= gs.tol
-    assert gs.continuation_path == (0.1,)
     assert np.all(gs.eta >= 0.0)
     assert float(gs.eta.max()) <= 1.0 + 1e-7
     # radially decreasing profile
@@ -121,15 +120,19 @@ def test_composite_eta_rejects_coordinates_beyond_profile_grid(sol, cset1):
 
 
 def test_solve_validation(sol, cset1):
+    seeds = {"painleve_sol": sol, "correction_set": cset1}
     with pytest.raises(ValueError):
-        solve_ground_state(0.0, 1)
+        solve_ground_state(0.0, 1, **seeds)
     with pytest.raises(ValueError):
-        solve_ground_state(0.6, 1)
+        solve_ground_state(0.6, 1, **seeds)
     with pytest.raises(ValueError):
-        solve_ground_state(0.1, 4)
+        solve_ground_state(0.1, 4, **seeds)
     # too-coarse grid for the layer width
     with pytest.raises(ValueError, match="too coarse"):
-        solve_ground_state(0.1, 1, nodes_per_layer=5)
+        solve_ground_state(0.1, 1, nodes_per_layer=5, **seeds)
+    # no positive ground state exists for eps * dimension >= 1
+    with pytest.raises(ValueError, match="eps \\* dimension"):
+        solve_ground_state(1.0 / 3.0, 3, **seeds)
 
 
 def test_default_grid_resolves_layer():
@@ -138,11 +141,10 @@ def test_default_grid_resolves_layer():
     assert grid.spacing <= 0.1 ** (2.0 / 3.0) / 20.0
 
 
-def test_failed_direct_solve_engages_continuation():
-    # starved of iterations, the solve falls back to the eps ladder, whose
-    # first rung sits at eps = 0.3 and fails with the same budget
-    with pytest.raises(ConvergenceError, match="eps=0.3"):
-        solve_ground_state(0.1, 1, max_iterations=1)
+def test_unreachable_tolerance_raises_naming_eps(sol, cset1):
+    # residuals stall at roundoff far above 1e-30; the failure names the solve
+    with pytest.raises(ConvergenceError, match="eps=0.1"):
+        solve_ground_state(0.1, 1, tol=1e-30, painleve_sol=sol, correction_set=cset1)
 
 
 def test_remainder_table_fields(sol, cset1):

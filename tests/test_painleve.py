@@ -12,8 +12,10 @@ from tfpainleve import (
     tail_plus,
     w0_min,
 )
-from tfpainleve.grids import Grid1D
+from tfpainleve import painleve
+from tfpainleve.grids import Grid1D, make_operator
 from tfpainleve.painleve import damped_newton
+from tfpainleve.spectrum import assemble_M0
 
 
 def test_bn_recursion_first_terms():
@@ -175,7 +177,7 @@ def _chain(b):
 
     def jacobian(x):
         off = np.ones(x.size - 1)
-        return off, -4.0 - 3.0 * x**2, off
+        return make_operator(off, -4.0 - 3.0 * x**2, off)
 
     return residual, jacobian
 
@@ -191,7 +193,7 @@ def test_damped_newton_converges_on_tridiagonal_chain():
 def _rounding_floor():
     # 1e15 (x^2 - 2) has no floating-point root: |r| stalls near 0.4 at x ~ sqrt(2)
     return (lambda x: 1e15 * (x * x - 2.0),
-            lambda x: (np.zeros(x.size - 1), 2e15 * x, np.zeros(x.size - 1)))
+            lambda x: make_operator(np.zeros(x.size - 1), 2e15 * x, np.zeros(x.size - 1)))
 
 
 def test_damped_newton_stall_at_floor_returns():
@@ -224,3 +226,20 @@ def test_damped_newton_iteration_budget_raises():
     residual, jacobian = _chain(np.linspace(-3.0, 5.0, 9))
     with pytest.raises(ConvergenceError, match="stalled after 1 iterations"):
         damped_newton(residual, jacobian, np.zeros(9), 1e-12, 1)
+
+
+def test_painleve_newton_jacobian_is_m0_at_the_profile(sol, monkeypatch):
+    seen = {}
+
+    def spy(residual, jacobian, x0, *args, **kwargs):
+        x, rnorm, iterations = damped_newton(residual, jacobian, x0, *args, **kwargs)
+        seen["jacobian"] = jacobian(x)
+        return x, rnorm, iterations
+
+    monkeypatch.setattr(painleve, "damped_newton", spy)
+    again = painleve.solve_hastings_mcleod()
+    np.testing.assert_array_equal(again.nu0, sol.nu0)
+    jac, m0 = seen["jacobian"], assemble_M0(sol)
+    assert jac.symmetric and m0.symmetric
+    for band in ("sub", "diag", "sup"):
+        np.testing.assert_array_equal(getattr(jac, band), getattr(m0, band))

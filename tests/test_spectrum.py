@@ -16,6 +16,7 @@ from tfpainleve import (
     from_solution,
     uniform_grid,
 )
+from tfpainleve.groundstate import trap_operator
 
 M0_FIRST_EIGHT = [2.410531, 4.508181, 6.273440, 7.840016,
                   9.270016, 10.599079, 11.849943, 13.038005]
@@ -107,6 +108,17 @@ def test_double_well_pair_gaps_grow_with_level(gs1_eps01):
     assert np.all(np.diff(gaps) > 0.0)
     assert gaps[0] < 1e-6
     assert gaps[3] < 1e-2
+
+
+def test_lplus_is_the_symmetrized_ground_state_jacobian(gs1_eps01):
+    # S^-1 J S with S = diag(sqrt 2, 1, ...) symmetrizes the origin's ghost row
+    gs = gs1_eps01
+    jac = oracles.dense(trap_operator(gs.eps, 1, gs.grid, gs.eta[:-1]))
+    s = np.ones(gs.grid.n - 1)
+    s[0] = np.sqrt(2.0)
+    neumann = oracles.dense(assemble_Lplus(gs, "Neumann"))
+    np.testing.assert_allclose(neumann, jac * s[None, :] / s[:, None], rtol=1e-15, atol=0.0)
+    np.testing.assert_array_equal(oracles.dense(assemble_Lplus(gs, "Dirichlet")), neumann[1:, 1:])
 
 
 def test_lplus_assembly_validation(sol, cset2):
