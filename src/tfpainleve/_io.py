@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import numpy as np
@@ -13,11 +14,20 @@ def format_float(v: float) -> str:
 
 
 def write_lines(path, lines) -> None:
-    """Write lines, each ending in a newline, through a temporary file and os.replace."""
+    """Write lines, each ending in a newline, through a temporary file and os.replace.
+
+    If the write or the replace fails, the temporary file is removed and the
+    error re-raised.
+    """
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def write_csv(path, header, columns) -> None:

@@ -208,14 +208,20 @@ def _write_summary(path, pairs) -> None:
 
 
 class _Stages:
-    """Runs named stages so a failure can be reported as 'stage X failed'."""
+    """Runs named stages so a failure can be reported as 'stage X failed'.
+
+    Once a stage returns, whatever runs until the next one (writing its
+    results) is reported as stage "output".
+    """
 
     def __init__(self):
         self.current = None
 
     def run(self, name, fn):
         self.current = name
-        return fn()
+        result = fn()
+        self.current = "output"
+        return result
 
 
 def _solve_painleve(cfg):
@@ -226,7 +232,6 @@ def _solve_painleve(cfg):
 
 def cmd_painleve(cfg, out, plots, stages) -> None:
     sol = stages.run("painleve", lambda: _solve_painleve(cfg))
-    stages.current = "output"
     sol.to_csv(os.path.join(out, "painleve.csv"))
     wloc, wmin = w0_min(sol)
     _write_summary(
@@ -263,7 +268,6 @@ def cmd_groundstate(cfg, out, plots, stages) -> None:
 
     eps_list = sorted(set(cfg["eps"]), reverse=True)
     results = stages.run("groundstate", lambda: [one(eps) for eps in eps_list])
-    stages.current = "output"
     summary = []
     for eps, (gs, comp) in zip(eps_list, results):
         gs.to_csv(os.path.join(out, f"groundstate_d{d}_eps{eps:g}.csv"), composite=comp)
@@ -296,7 +300,6 @@ def _bs_table(sol, levels, mu, out, stages):
         return np.array([bs_eigenvalue(profile, n) for n in levels])
 
     mu_bs = stages.run("bs", table)
-    stages.current = "output"
     mu_m0 = np.array([mu[n - 1] for n in levels])
     rel = np.abs(mu_bs - mu_m0) / mu_m0
     write_csv(
@@ -326,7 +329,6 @@ def cmd_spectrum(cfg, out, plots, stages) -> None:
             nodes_per_layer=cfg["nodes_per_layer"], gs_tol=cfg["gs_tol"],
         ),
     )
-    stages.current = "output"
     table.to_csv(os.path.join(out, "spectrum.csv"))
     mu = table.mu[: cfg["n_pairs"]]
     _write_summary(

@@ -16,10 +16,9 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._io import write_csv
-from .grids import first_difference, second_difference, solve_tridiagonal
+from .grids import Grid1D, UniformSpline, first_difference, second_difference, solve_tridiagonal
 from .painleve import PainleveSolution, layer_operator
 
 # far-field exponent of nu_n y^(beta - 2n): beta = -5/2 in d = 1 where the
@@ -64,7 +63,8 @@ class CorrectionSet:
 
     @cached_property
     def _splines(self):
-        return tuple(CubicSpline(self.grid_nodes, t) for t in self.terms)
+        grid = Grid1D(self.grid_nodes)
+        return tuple(UniformSpline(grid, t) for t in self.terms)
 
     def to_csv(self, path) -> None:
         header = ["y"]

@@ -1,8 +1,9 @@
-"""Uniform grids, tridiagonal operators, and the trap-to-layer coordinate map."""
+"""Uniform grids, tridiagonal operators, cubic splines, and the trap-to-layer coordinate map."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -118,6 +119,70 @@ def solve_tridiagonal(op: TridiagonalOperator, rhs: np.ndarray) -> np.ndarray:
     if info < 0:
         raise ValueError(f"illegal dgtsv argument {-info}")
     return x
+
+
+class UniformSpline:
+    """Not-a-knot cubic spline through samples on a uniform grid.
+
+    The second derivatives M solve M[i-1] + 4 M[i] + M[i+1] = 6 (v[i-1] - 2 v[i]
+    + v[i+1]) / h^2 at the interior nodes.  Not-a-knot (one cubic across the
+    first two and the last two intervals) sets M[0] = 2 M[1] - M[2] and
+    M[n-1] = 2 M[n-2] - M[n-3]; eliminating them leaves a tridiagonal system
+    whose end rows are 6 M[1] and 6 M[n-2].  Each interval keeps its Horner
+    coefficients in the local variable t = y - nodes[i].  Points outside the
+    grid extrapolate the end cubics.  Scalars in give floats out.
+    """
+
+    def __init__(self, grid: Grid1D, values):
+        v = np.asarray(values, dtype=float)
+        if v.shape != grid.nodes.shape:
+            raise ValueError(f"values shape {v.shape} does not match grid size {grid.n}")
+        if v.size < 4:
+            raise ValueError(f"a not-a-knot spline needs at least 4 samples, got {v.size}")
+        h = grid.spacing
+        diag = np.full(v.size - 2, 4.0)
+        diag[0] = diag[-1] = 6.0
+        sub = np.ones(v.size - 3)
+        sup = sub.copy()
+        sup[0] = sub[-1] = 0.0
+        rhs = 6.0 * (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
+        m = solve_tridiagonal(TridiagonalOperator(sub, diag, sup), rhs)
+        m = np.concatenate(([2.0 * m[0] - m[1]], m, [2.0 * m[-1] - m[-2]]))
+        d = (m[1:] - m[:-1]) / (6.0 * h)
+        c = 0.5 * m[:-1]
+        b = np.diff(v) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0
+        self._value = np.stack([d, c, b, v[:-1]], axis=1)
+        self._knots = grid.nodes[:-1]
+        self._a = grid.a
+        self._inv_h = 1.0 / h
+
+    def _locate(self, y):
+        """Interval index and local offset t of the points y.
+
+        ``take`` in clip mode clamps the index to [0, n - 2], so points
+        outside the grid use the end intervals.
+        """
+        y = np.asarray(y, dtype=float)
+        k = ((y - self._a) * self._inv_h).astype(np.intp)
+        return k, y - self._knots.take(k, mode="clip")
+
+    def __call__(self, y):
+        k, t = self._locate(y)
+        d, c, b, a = self._value.take(k, axis=0, mode="clip").T
+        out = ((d * t + c) * t + b) * t + a
+        return out if out.ndim else float(out)
+
+    @cached_property
+    def _slope(self):
+        # built on the first derivative call: most splines are only evaluated
+        d, c, b, _ = self._value.T
+        return np.stack([3.0 * d, 2.0 * c, b], axis=1)
+
+    def derivative(self, y):
+        k, t = self._locate(y)
+        d, c, b = self._slope.take(k, axis=0, mode="clip").T
+        out = (d * t + c) * t + b
+        return out if out.ndim else float(out)
 
 
 def second_difference(values: np.ndarray, grid: Grid1D) -> np.ndarray:

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._io import write_csv
-from .grids import Grid1D, TridiagonalOperator, first_difference, solve_tridiagonal, uniform_grid
+from .grids import (
+    Grid1D, TridiagonalOperator, UniformSpline, first_difference, solve_tridiagonal, uniform_grid,
+)
 
 
 class ConvergenceError(RuntimeError):
@@ -166,8 +167,8 @@ class PainleveSolution:
             object.__setattr__(self, name, arr)
 
     @cached_property
-    def _nu0_spline(self) -> CubicSpline:
-        return CubicSpline(self.grid.nodes, self.nu0)
+    def _nu0_spline(self) -> UniformSpline:
+        return UniformSpline(self.grid, self.nu0)
 
     def interp_nu0(self, y):
         self._require_inside(y)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from .grids import UniformSpline
 from .painleve import ConvergenceError, PainleveSolution
 
 _GL_NODES = 64
@@ -99,8 +99,8 @@ def from_function(f, y_left: float, y_right: float, derivative) -> PotentialProf
 
 def from_solution(sol: PainleveSolution) -> PotentialProfile:
     """Profile of W0 = 3 nu0^2 - y over the layer grid."""
-    spline = CubicSpline(sol.grid.nodes, sol.w0)
-    return from_function(spline, sol.grid.a, sol.grid.b, spline.derivative())
+    spline = UniformSpline(sol.grid, sol.w0)
+    return from_function(spline, sol.grid.a, sol.grid.b, spline.derivative)
 
 
 def turning_points(W: PotentialProfile, mu: float):

@@ -185,6 +185,14 @@ def test_main_stage_failure_is_exit_2(tmp_path, capsys):
     assert "stage bs failed" in capsys.readouterr().err
 
 
+def test_main_study_write_failure_is_stage_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "painleve.csv").mkdir(parents=True)
+    assert main(["study", "--out", str(out)]) == 2
+    assert "stage output failed" in capsys.readouterr().err
+    assert not (out / "painleve.csv.tmp").exists()
+
+
 @pytest.fixture(scope="module")
 def study_small(tmp_path_factory):
     """Config file and --plots output directory of a small `tfp study` run."""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from oracles import dense
 from tfpainleve import (
@@ -11,7 +12,7 @@ from tfpainleve import (
     solve_tridiagonal,
     uniform_grid,
 )
-from tfpainleve.grids import to_boundary_layer
+from tfpainleve.grids import UniformSpline, to_boundary_layer
 
 
 def test_uniform_grid_basics():
@@ -117,5 +118,61 @@ def test_boundary_layer_maps_roundtrip():
     np.testing.assert_allclose(y, (1.0 - x * x) / eps ** (2.0 / 3.0), rtol=1e-15, atol=0.0)
     assert y[0] == pytest.approx(eps ** (-2.0 / 3.0))
     assert to_boundary_layer(1.0, eps) == 0.0
+
+
+_EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [4, 5, 6001])
+def test_spline_matches_scipy_not_a_knot_oracle(n):
+    rng = np.random.default_rng(n)
+    if n < 10:
+        g = uniform_grid(-1.0, 2.0, n)
+        v = rng.normal(size=n)
+    else:
+        g = uniform_grid(0.0, 18.0, n)  # h = 0.003
+        v = np.sin(3.0 * g.nodes) + 0.5 * np.cos(0.7 * g.nodes)
+    spline = UniformSpline(g, v)
+    oracle = CubicSpline(g.nodes, v)
+    y = np.concatenate((rng.uniform(g.a, g.b, 1000), g.nodes, [g.a, g.b]))
+    scale = np.max(np.abs(v))
+    # rounding of the second derivatives enters the slope through one division by h
+    np.testing.assert_allclose(spline(y), oracle(y), rtol=0.0, atol=50 * _EPS * scale)
+    np.testing.assert_allclose(
+        spline.derivative(y), oracle(y, 1), rtol=0.0, atol=50 * _EPS * scale / g.spacing
+    )
+
+
+@pytest.mark.parametrize("n", [4, 5, 50])
+def test_spline_reproduces_cubics(n):
+    g = uniform_grid(-1.0, 2.0, n)
+
+    def p(y):
+        return 1.0 - 2.0 * y + 0.5 * y**2 + 0.3 * y**3
+
+    def dp(y):
+        return -2.0 + y + 0.9 * y**2
+
+    spline = UniformSpline(g, p(g.nodes))
+    y = np.linspace(-1.2, 2.2, 301)  # the end cubics extrapolate
+    np.testing.assert_allclose(spline(y), p(y), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(spline.derivative(y), dp(y), rtol=0.0, atol=1e-12)
+
+
+def test_spline_scalar_in_float_out():
+    g = uniform_grid(0.0, 1.0, 11)
+    spline = UniformSpline(g, g.nodes**2)
+    assert type(spline(0.35)) is float
+    assert type(spline.derivative(0.35)) is float
+    assert spline(np.array([0.35])).shape == (1,)
+
+
+def test_spline_validation():
+    with pytest.raises(ValueError, match="at least 4"):
+        UniformSpline(uniform_grid(0.0, 1.0, 3), np.zeros(3))
+    with pytest.raises(ValueError, match="does not match"):
+        UniformSpline(uniform_grid(0.0, 1.0, 5), np.zeros(4))
+    with pytest.raises(ValueError, match="does not match"):
+        UniformSpline(uniform_grid(0.0, 1.0, 5), np.zeros((5, 2)))
 
 #END

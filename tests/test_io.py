@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tfpainleve._io import format_float, write_csv
+from tfpainleve._io import format_float, write_csv, write_lines
 
 
 def test_format_float_round_trips():
@@ -27,3 +27,15 @@ def test_write_csv_validation(tmp_path):
         write_csv(tmp_path / "x.csv", ["a"], [np.zeros(2), np.zeros(2)])
     with pytest.raises(ValueError, match="same length"):
         write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(2), np.zeros(3)])
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    # os.replace fails: the target is a directory
+    target = tmp_path / "table.csv"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_csv(target, ["a"], [np.zeros(3)])
+    # the write itself fails: a line that is not a string
+    with pytest.raises(TypeError):
+        write_lines(tmp_path / "lines.txt", ["a", 1])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
