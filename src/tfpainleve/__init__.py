@@ -13,7 +13,6 @@ from .grids import (
     SingularPivotError,
     Grid1D,
     TridiagonalOperator,
-    make_operator,
     solve_tridiagonal,
     first_difference,
     second_difference,
@@ -62,7 +61,6 @@ from .semiclassics import (
     PotentialProfile,
     from_function,
     from_solution,
-    turning_points,
     action,
     bs_eigenvalue,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "SingularPivotError",
     "Grid1D",
     "TridiagonalOperator",
-    "make_operator",
     "solve_tridiagonal",
     "first_difference",
     "second_difference",
@@ -110,7 +107,6 @@ __all__ = [
     "PotentialProfile",
     "from_function",
     "from_solution",
-    "turning_points",
     "action",
     "bs_eigenvalue",
 ]

@@ -126,6 +126,8 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"n_pairs must be between 1 and 8, got {cfg['n_pairs']}")
     if not cfg["bs_levels"] or any(n < 1 for n in cfg["bs_levels"]):
         raise ConfigError(f"bs_levels must be positive integers, got {cfg['bs_levels']}")
+    if len(set(cfg["bs_levels"])) < len(cfg["bs_levels"]):
+        raise ConfigError(f"bs_levels must be distinct, got {cfg['bs_levels']}")
 
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -202,6 +204,11 @@ def _svg_plot(path, title, series, logx=False, logy=False):
     write_lines(path, parts)
 
 
+def _format_residual(value: float) -> str:
+    # a converged Newton residual is rounding noise below its tolerance: two digits say all of it
+    return f"{value:.1e}"
+
+
 def _write_summary(path, pairs) -> None:
     write_lines(path, [f"{key}={format_float(val) if isinstance(val, float) else val}"
                        for key, val in pairs])
@@ -240,7 +247,7 @@ def cmd_painleve(cfg, out, plots, stages) -> None:
             ("nu0_at_0", float(sol.interp_nu0(0.0))),
             ("W_min", wmin),
             ("W_min_location", wloc),
-            ("residual_max", sol.residual_max),
+            ("residual_max", _format_residual(sol.residual_max)),
             ("newton_iterations", sol.newton_iterations),
         ],
     )
@@ -266,13 +273,13 @@ def cmd_groundstate(cfg, out, plots, stages) -> None:
         comp = composite_eta(sol, cset, eps, gs.grid.nodes)
         return gs, comp
 
-    eps_list = sorted(set(cfg["eps"]), reverse=True)
+    eps_list = sorted(cfg["eps"], reverse=True)
     results = stages.run("groundstate", lambda: [one(eps) for eps in eps_list])
     summary = []
     for eps, (gs, comp) in zip(eps_list, results):
         gs.to_csv(os.path.join(out, f"groundstate_d{d}_eps{eps:g}.csv"), composite=comp)
         summary.append((f"energy_eps{eps:g}", energy(gs)))
-        summary.append((f"residual_eps{eps:g}", gs.residual_max))
+        summary.append((f"residual_eps{eps:g}", _format_residual(gs.residual_max)))
     _write_summary(os.path.join(out, "summary.txt"), summary)
     if plots:
         series = [
@@ -282,7 +289,7 @@ def cmd_groundstate(cfg, out, plots, stages) -> None:
 
 
 def _bs_levels(cfg) -> tuple:
-    return tuple(sorted(set(cfg["bs_levels"])))
+    return tuple(sorted(cfg["bs_levels"]))
 
 
 def _m0_eigenvalues(sol, k):
@@ -325,7 +332,7 @@ def cmd_spectrum(cfg, out, plots, stages) -> None:
     table = stages.run(
         "scaling",
         lambda: scaling_study(
-            sol, cset, cfg["eps"], n_pairs=cfg["n_pairs"],
+            sol, cset, cfg["eps"], _m0_eigenvalues(sol, cfg["n_pairs"]), n_pairs=cfg["n_pairs"],
             nodes_per_layer=cfg["nodes_per_layer"], gs_tol=cfg["gs_tol"],
         ),
     )
@@ -375,8 +382,8 @@ def cmd_study(cfg, out, plots, stages) -> None:
         # one M0 solve serves both the scaling table and the Bohr-Sommerfeld table
         mu = _m0_eigenvalues(sol, max(cfg["n_pairs"], levels[-1]))
         table = scaling_study(
-            sol, cset1, cfg["eps"], n_pairs=cfg["n_pairs"], nodes_per_layer=cfg["nodes_per_layer"],
-            gs_tol=cfg["gs_tol"], mu=mu,
+            sol, cset1, cfg["eps"], mu, n_pairs=cfg["n_pairs"],
+            nodes_per_layer=cfg["nodes_per_layer"], gs_tol=cfg["gs_tol"],
         )
         return mu, table
 

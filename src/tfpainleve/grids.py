@@ -65,12 +65,11 @@ def uniform_grid(a: float, b: float, n: int) -> Grid1D:
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Tridiagonal matrix stored by bands; ``symmetric`` records sub == super."""
+    """Tridiagonal matrix stored by bands."""
 
     sub: np.ndarray
     diag: np.ndarray
     sup: np.ndarray
-    symmetric: bool = False
 
     def __post_init__(self):
         sub = np.asarray(self.sub, dtype=float)
@@ -99,13 +98,6 @@ class TridiagonalOperator:
         out[:-1] += self.sup * v[1:]
         out[1:] += self.sub * v[:-1]
         return out
-
-
-def make_operator(sub, diag, sup) -> TridiagonalOperator:
-    sub = np.asarray(sub, dtype=float)
-    sup = np.asarray(sup, dtype=float)
-    symmetric = bool(sub.shape == sup.shape and np.array_equal(sub, sup))
-    return TridiagonalOperator(sub, diag, sup, symmetric)
 
 
 def solve_tridiagonal(op: TridiagonalOperator, rhs: np.ndarray) -> np.ndarray:

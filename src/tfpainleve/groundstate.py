@@ -17,8 +17,8 @@ import numpy as np
 
 from ._io import write_csv
 from .corrections import CorrectionSet, composite_nu, loglog_slope
-from .grids import (Grid1D, TridiagonalOperator, first_difference, make_operator,
-                    to_boundary_layer, uniform_grid)
+from .grids import (Grid1D, TridiagonalOperator, first_difference, to_boundary_layer,
+                    uniform_grid)
 from .painleve import ConvergenceError, PainleveSolution, damped_newton, tail_minus
 
 _MAX_ITERATIONS = 60
@@ -74,7 +74,7 @@ def trap_operator(eps: float, d: int, grid: Grid1D, eta: np.ndarray) -> Tridiago
     diag[0] += 2.0 * (d - 1.0) * c
     sup = -(c + drift[:-1])
     sup[0] = -2.0 * d * c
-    return make_operator(-(c - drift[1:]), diag, sup)
+    return TridiagonalOperator(-(c - drift[1:]), diag, sup)
 
 
 def _residual(eta, r, h, eps, d):

@@ -194,7 +194,7 @@ def layer_operator(h: float, w: np.ndarray) -> TridiagonalOperator:
     """-4 D2 + w on interior nodes of spacing h, with zero Dirichlet data at both ends."""
     w = np.asarray(w, dtype=float)
     off = np.full(w.size - 1, -4.0 / h**2)
-    return TridiagonalOperator(off, 8.0 / h**2 + w, off, symmetric=True)
+    return TridiagonalOperator(off, 8.0 / h**2 + w, off)
 
 
 def _newton_residual(inner, y, h, left, right):

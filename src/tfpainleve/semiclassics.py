@@ -8,17 +8,18 @@ remove the square-root turning point singularity and leave the smooth,
 derivative-free integrand T cos(phi) |y(phi) - y_well| for Gauss-Legendre
 quadrature.
 
-Turning points and the quadrature nodes' positions on each branch come from
-one root-finder, ``_branch_positions``: a vectorized Newton solve of
-W(y) = target, started from a 33-point scan of the branch and kept inside the
-scan's bracket by midpoint fallbacks.
+One sampling of W serves both the certification and the root solves: the
+scan on which ``from_function`` certifies the well is kept as the profile's
+``samples``, and ``_branch_positions`` brackets every quadrature node's
+position in it, then solves W(y) = target by vectorized Newton kept inside
+the bracket by midpoint fallbacks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .painleve import ConvergenceError, PainleveSolution
 _GL_NODES = 64
 _SAMPLES = 4001
 _ACTION_TOL = 1e-9
-_SCAN_NODES = 33
 _ROOT_ROUNDS = 80
 _EPS = float(np.finfo(float).eps)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -47,6 +47,16 @@ class PotentialProfile:
 
     def __call__(self, y):
         return self.evaluator(y)
+
+    @cached_property
+    def samples(self):
+        """(ys, W(ys)) on ``_SAMPLES`` uniform points spanning [y_left, y_right].
+
+        ``from_function`` stores its certification scan here, so W is sampled
+        once per profile.
+        """
+        ys = np.linspace(self.y_left, self.y_right, _SAMPLES)
+        return ys, np.asarray(self.evaluator(ys), dtype=float)
 
 
 def _golden_min(f, a: float, b: float, tol: float = 1e-13):
@@ -87,14 +97,9 @@ def from_function(f, y_left: float, y_right: float, derivative) -> PotentialProf
     if np.any(np.diff(w[i:]) < -slack):
         raise ValueError("potential falls right of its minimum: not single-well")
     loc, val = _golden_min(lambda t: float(f(t)), float(ys[i - 1]), float(ys[i + 1]))
-    return PotentialProfile(
-        evaluator=f,
-        derivative=derivative,
-        well_location=loc,
-        well_value=val,
-        y_left=float(y_left),
-        y_right=float(y_right),
-    )
+    profile = PotentialProfile(f, derivative, loc, val, float(y_left), float(y_right))
+    vars(profile)["samples"] = ys, w  # the cached_property's value, without a second scan
+    return profile
 
 
 def from_solution(sol: PainleveSolution) -> PotentialProfile:
@@ -103,52 +108,36 @@ def from_solution(sol: PainleveSolution) -> PotentialProfile:
     return from_function(spline, sol.grid.a, sol.grid.b, spline.derivative)
 
 
-def turning_points(W: PotentialProfile, mu: float):
-    """Roots y_minus < y_plus of W(y) = mu, one per monotone branch.
-
-    Each root comes from the safeguarded Newton solve of ``_branch_positions``
-    with the single target mu.
-    """
-    if not mu > W.well_value:
-        raise ValueError(f"mu = {mu:g} is not above the well bottom {W.well_value:g}")
-    if float(W(W.y_left)) < mu:
-        raise ValueError(f"mu = {mu:g} exceeds the certified range on the left")
-    if float(W(W.y_right)) < mu:
-        raise ValueError(f"mu = {mu:g} exceeds the certified range on the right")
-    target = np.array([float(mu)])
-    y_minus = float(_branch_positions(W, target, W.well_location, W.y_left)[0])
-    y_plus = float(_branch_positions(W, target, W.well_location, W.y_right)[0])
-    return y_minus, y_plus
-
-
-def _branch_positions(W: PotentialProfile, targets, inner: float, outer: float):
+def _branch_positions(W: PotentialProfile, targets, side: int):
     """Solve W(y) = target on one monotone branch by vectorized safeguarded Newton.
 
-    ``inner`` is the well-side end, ``outer`` the turning-point side; targets
-    must lie between W(inner) and W(outer).  One scan of W on ``_SCAN_NODES``
-    points from inner to outer brackets every target.  The start interpolates
-    sqrt(W - W(inner)) linearly over the bracket: that root is nearly linear
-    in y at the well bottom, where W itself is quadratic and a linear start
-    would leave Newton halving its distance per step.  Newton steps use
-    ``W.derivative``; a step that leaves its bracket falls back to the bracket
-    midpoint.  A node is done when |W(y) - target| <= 4 eps_mach
-    max(|target|, |W(inner)|), the largest |W| between the well and the root,
-    or when its bracket has shrunk to rounding.  A step-size test would never
-    fire near the bottom, where W' -> 0 leaves the root good only to about
-    1e-11.  Nodes still open after ``_ROOT_ROUNDS`` rounds raise
-    ``ConvergenceError``.
+    ``side`` is -1 for the branch left of the well bottom and +1 for the one
+    right of it; targets must lie between W.well_value and W at that end of
+    the certified range.  The well bottom followed by ``W.samples`` beyond it
+    brackets every target.  The start interpolates sqrt(W - W.well_value)
+    linearly over the bracket: that root is nearly linear in y at the well
+    bottom, where W itself is quadratic and a linear start would leave Newton
+    halving its distance per step.  Newton steps use ``W.derivative``; a step
+    that leaves its bracket falls back to the bracket midpoint.  A node is
+    done when |W(y) - target| <= 4 eps_mach max(|target|, |W.well_value|), the
+    largest |W| between the well and the root, or when its bracket has shrunk
+    to rounding.  A step-size test would never fire near the bottom, where
+    W' -> 0 leaves the root good only to about 1e-11.  Nodes still open after
+    ``_ROOT_ROUNDS`` rounds raise ``ConvergenceError``.
     """
     targets = np.asarray(targets, dtype=float)
-    ys = np.linspace(inner, outer, _SCAN_NODES)
-    ws = np.asarray(W(ys), dtype=float)
-    # W lies between W(inner) and the target from the well to the root, so this
-    # bounds |W| there: the scale of the residual's rounding
-    tol = 4.0 * _EPS * np.maximum(np.abs(targets), abs(ws[0]))
-    # W rises from inner to outer on a certified branch; the running maximum
-    # keeps the scan sorted through tolerated plateaus
-    scan_root = np.sqrt(np.maximum.accumulate(ws) - ws[0])
-    root = np.sqrt(np.maximum(targets - ws[0], 0.0))
-    k = np.clip(np.searchsorted(scan_root, root), 1, _SCAN_NODES - 1)
+    ys, ws = W.samples
+    outward = side * (ys - W.well_location) > 0.0
+    ys = np.concatenate(([W.well_location], ys[outward][::side]))
+    ws = np.concatenate(([W.well_value], ws[outward][::side]))
+    # W lies between the well value and the target from the well to the root,
+    # so this bounds |W| there: the scale of the residual's rounding
+    tol = 4.0 * _EPS * np.maximum(np.abs(targets), abs(W.well_value))
+    # W rises outward on a certified branch; the running maximum keeps the
+    # samples sorted through tolerated plateaus
+    scan_root = np.sqrt(np.maximum.accumulate(ws) - W.well_value)
+    root = np.sqrt(np.maximum(targets - W.well_value, 0.0))
+    k = np.clip(np.searchsorted(scan_root, root), 1, ys.size - 1)
     a, b = ys[k - 1], ys[k]  # W(a) <= target <= W(b)
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = (root - scan_root[k - 1]) / (scan_root[k] - scan_root[k - 1])
@@ -171,9 +160,9 @@ def _branch_positions(W: PotentialProfile, targets, inner: float, outer: float):
             step = yl - r / np.asarray(W.derivative(yl), dtype=float)
         inside = (step - al) * (step - bl) < 0.0
         y[live] = np.where(inside, step, 0.5 * (al + bl))
-    side = "left" if outer < inner else "right"
+    name = "right" if side > 0 else "left"
     raise ConvergenceError(
-        f"root solve on the {side} branch [{min(inner, outer):g}, {max(inner, outer):g}] "
+        f"root solve on the {name} branch [{min(ys[0], ys[-1]):g}, {max(ys[0], ys[-1]):g}] "
         f"left {live.size} of {targets.size} targets open after {_ROOT_ROUNDS} rounds"
     )
 
@@ -203,16 +192,18 @@ def action(W: PotentialProfile, mu: float) -> float:
     |y - y_well| ~ T cos(phi) / sqrt(W''/2).  An error in y_well enters the
     two branches with opposite signs and cancels.
     """
-    y_minus, y_plus = turning_points(W, mu)
+    if not mu > W.well_value:
+        raise ValueError(f"mu = {mu:g} is not above the well bottom {W.well_value:g}")
+    _, ws = W.samples
+    for name, w_end in (("left", ws[0]), ("right", ws[-1])):
+        if w_end < mu:
+            raise ValueError(f"mu = {mu:g} exceeds the certified range on the {name}")
     phi, weights = _phase_rule()
-    base = float(W(W.well_location))
-    t2 = mu - base
-    if t2 <= 0.0:
-        return 0.0
+    t2 = mu - W.well_value
     targets = mu - t2 * np.sin(phi) ** 2
     total = 0.0
-    for outer in (y_minus, y_plus):
-        y = _branch_positions(W, targets, W.well_location, outer)
+    for side in (-1, 1):
+        y = _branch_positions(W, targets, side)
         total += float(weights @ (np.cos(phi) * np.abs(y - W.well_location)))
     return math.sqrt(t2) * total
 

@@ -27,7 +27,7 @@ from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from ._io import write_csv
 from .corrections import CorrectionSet
-from .grids import TridiagonalOperator, first_difference, make_operator, uniform_grid
+from .grids import TridiagonalOperator, first_difference, uniform_grid
 from .groundstate import GroundState, solve_ground_state, trap_operator
 from .painleve import ConvergenceError, PainleveSolution, layer_operator
 
@@ -79,7 +79,7 @@ def assemble_Lplus(gs: GroundState, bc: str) -> TridiagonalOperator:
     op = trap_operator(gs.eps, 1, gs.grid, gs.eta[:-1])
     off = -np.sqrt(op.sub * op.sup)
     first = 1 if bc == "Dirichlet" else 0
-    return make_operator(off[first:], op.diag[first:], off[first:])
+    return TridiagonalOperator(off[first:], op.diag[first:], off[first:])
 
 
 def eig_smallest(op: TridiagonalOperator, k: int, label: str = "generic") -> SpectrumReport:
@@ -93,7 +93,7 @@ def eig_smallest(op: TridiagonalOperator, k: int, label: str = "generic") -> Spe
     vector, which may drift from the bisection value by at most 1e-8 times
     that scale.  Each vector's largest-magnitude entry is positive.
     """
-    if not op.symmetric:
+    if not np.array_equal(op.sub, op.sup):
         raise ValueError("eig_smallest needs a symmetric operator")
     n = op.n
     if not 1 <= k <= n:
@@ -171,26 +171,25 @@ def scaling_study(
     sol: PainleveSolution,
     cset: CorrectionSet,
     eps_list,
+    mu,
     n_pairs: int = 3,
     nodes_per_layer: int = 40,
     gs_tol: float = 1e-8,
-    mu=None,
 ) -> ScalingTable:
     """Tabulate lambda_{2n-1}, lambda_{2n} and their eps^(2/3) scalings vs mu_n.
 
     Ground states are seeded with the composite approximation and solved one
-    eps at a time in descending order.  ``mu`` supplies M0 eigenvalues
-    mu_1, mu_2, ... (at least n_pairs of them) when the caller has already
-    solved M0 for ``sol``; otherwise the n_pairs smallest are computed here.
+    eps at a time in descending order.  ``mu`` holds the smallest M0
+    eigenvalues mu_1, mu_2, ... of ``sol``, at least n_pairs of them.
     """
     if cset.dimension != 1:
         raise ValueError(f"scaling study needs d=1 corrections, got d={cset.dimension}")
-    eps_arr = np.asarray(sorted(set(float(e) for e in eps_list), reverse=True))
+    eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     if eps_arr.size == 0:
         raise ValueError("empty eps list")
-    if mu is None:
-        mu = eig_smallest(assemble_M0(sol), n_pairs, label="M0").eigenvalues
-    elif len(mu) < n_pairs:
+    if np.unique(eps_arr).size < eps_arr.size:
+        raise ValueError(f"scaling study needs distinct eps values, got {eps_list}")
+    if len(mu) < n_pairs:
         raise ValueError(f"mu holds {len(mu)} M0 eigenvalues, need n_pairs = {n_pairs}")
 
     rows_eps, rows_n = [], []

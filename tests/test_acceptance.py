@@ -15,13 +15,13 @@ import oracles
 from oracles import thomas_fermi
 from surrogates import simplified
 from tfpainleve import (
+    TridiagonalOperator,
     assemble_M0,
     bn_coefficients,
     bs_eigenvalue,
     decay_check,
     eig_smallest,
     from_solution,
-    make_operator,
     remainder_study,
     scaling_study,
     second_difference,
@@ -110,8 +110,8 @@ def test_criterion_06_composite_remainder_orders(sol, cset1, cset3):
     assert time.perf_counter() - start < 120.0
 
 
-def test_criterion_07_eigenvalue_scaling_law(sol, cset1):
-    table = scaling_study(sol, cset1, EPS_LIST, n_pairs=1)
+def test_criterion_07_eigenvalue_scaling_law(sol, cset1, m0_report):
+    table = scaling_study(sol, cset1, EPS_LIST, m0_report.eigenvalues, n_pairs=1)
     mu1 = float(table.mu[0])
     pick = table.n == 1
     eps = table.eps[pick]
@@ -147,10 +147,10 @@ def test_criterion_09_sturm_matches_dense_oracle(sol, rng):
     h = grid.spacing
     w = from_solution(sol)(grid.nodes)[1:-1]
     off = np.full(w.size - 1, -4.0 / h**2)
-    layer_op = make_operator(off, 8.0 / h**2 + w, off)
+    layer_op = TridiagonalOperator(off, 8.0 / h**2 + w, off)
     diag = 1.0 + rng.random(200)
     off_r = rng.random(199) - 0.5
-    random_op = make_operator(off_r, diag, off_r)
+    random_op = TridiagonalOperator(off_r, diag, off_r)
     for op in (layer_op, random_op):
         mine = eig_smallest(op, 10).eigenvalues
         np.testing.assert_allclose(mine, oracles.dense_smallest(op, 10), atol=1e-9)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,7 @@ def test_load_config_errors(tmp_path):
         ("bs_levels", (0, 2), "bs_levels"),
         ("order", 0, "order"),
         ("eps", (0.1, 0.1), "distinct"),
+        ("bs_levels", (2, 1, 2), "distinct"),
     ],
 )
 def test_validate_config_rejects(key, value, fragment):
@@ -175,6 +177,22 @@ def test_main_groundstate_d2_honors_out_dir(tmp_path):
     summary = read_summary(target / "summary.txt")
     assert float(summary["energy_eps0.1"]) < 0.0
     assert float(summary["residual_eps0.05"]) <= _DEFAULTS["gs_tol"]
+
+
+def test_summary_residuals_have_two_digits(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.1, 0.05\nnodes_per_layer = 24\n")
+    residuals = {}
+    for command in ("painleve", "groundstate"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        summary = read_summary(out / "summary.txt")
+        residuals.update({k: v for k, v in summary.items() if k.startswith("residual")})
+    assert sorted(residuals) == ["residual_eps0.05", "residual_eps0.1", "residual_max"]
+    for key, value in residuals.items():
+        assert re.fullmatch(r"\d\.\de[+-]\d+", value), (key, value)
+        tol = _DEFAULTS["tol"] if key == "residual_max" else _DEFAULTS["gs_tol"]
+        assert float(value) <= tol, (key, value)
 
 
 def test_main_stage_failure_is_exit_2(tmp_path, capsys):

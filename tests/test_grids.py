@@ -7,12 +7,11 @@ from tfpainleve import (
     Grid1D,
     SingularPivotError,
     first_difference,
-    make_operator,
     second_difference,
     solve_tridiagonal,
     uniform_grid,
 )
-from tfpainleve.grids import UniformSpline, to_boundary_layer
+from tfpainleve.grids import TridiagonalOperator, UniformSpline, to_boundary_layer
 
 
 def test_uniform_grid_basics():
@@ -47,7 +46,7 @@ def test_tridiagonal_solve_matches_dense(rng):
     sub = rng.standard_normal(n - 1)
     sup = rng.standard_normal(n - 1)
     diag = rng.standard_normal(n) + 8.0  # diagonally dominant
-    op = make_operator(sub, diag, sup)
+    op = TridiagonalOperator(sub, diag, sup)
     b = rng.standard_normal(n)
     x = solve_tridiagonal(op, b)
     np.testing.assert_allclose(dense(op) @ x, b, atol=1e-12)
@@ -56,21 +55,17 @@ def test_tridiagonal_solve_matches_dense(rng):
 
 def test_tridiagonal_apply_matches_dense(rng):
     n = 17
-    op = make_operator(rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1))
+    op = TridiagonalOperator(
+        rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1)
+    )
     v = rng.standard_normal(n)
     np.testing.assert_allclose(op.apply(v), dense(op) @ v, atol=1e-13)
 
 
 def test_singular_pivot_reported():
-    op = make_operator(np.zeros(1), np.array([1.0, 0.0]), np.zeros(1))
+    op = TridiagonalOperator(np.zeros(1), np.array([1.0, 0.0]), np.zeros(1))
     with pytest.raises(SingularPivotError):
         solve_tridiagonal(op, np.ones(2))
-
-
-def test_symmetry_detection():
-    off = np.array([1.0, 2.0])
-    assert make_operator(off, np.zeros(3), off.copy()).symmetric
-    assert not make_operator(off, np.zeros(3), off + 1e-6).symmetric
 
 
 def test_second_difference_exact_on_quadratics():

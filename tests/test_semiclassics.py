@@ -14,7 +14,6 @@ from tfpainleve import (
     bs_eigenvalue,
     from_function,
     from_solution,
-    turning_points,
     w0_min,
 )
 from tfpainleve import semiclassics
@@ -48,17 +47,18 @@ def test_action_increases_with_energy():
 
 
 def test_turning_points_simplified():
-    y_minus, y_plus = turning_points(simplified(), 3.0)
-    assert y_minus == pytest.approx(-3.0, abs=1e-12)
-    assert y_plus == pytest.approx(1.5, abs=1e-12)
+    assert _branch_positions(simplified(), [3.0], -1)[0] == pytest.approx(-3.0, abs=1e-12)
+    assert _branch_positions(simplified(), [3.0], 1)[0] == pytest.approx(1.5, abs=1e-12)
 
 
-def test_turning_points_validation():
+def test_action_validation():
     profile = simplified()
     with pytest.raises(ValueError, match="well bottom"):
-        turning_points(profile, 0.0)
-    with pytest.raises(ValueError, match="certified range"):
-        turning_points(profile, 70.0)  # beyond W(y_right) = 60
+        action(profile, 0.0)
+    with pytest.raises(ValueError, match="certified range on the right"):
+        action(simplified(y_left=-80.0), 70.0)  # beyond W(y_right) = 60
+    with pytest.raises(ValueError, match="certified range on the left"):
+        action(simplified(y_left=-10.0), 15.0)  # beyond W(y_left) = 10
 
 
 def test_from_function_certifies_single_well():
@@ -126,14 +126,12 @@ def test_layer_action_matches_quadrature_oracle(sol):
         assert action(profile, mu) == pytest.approx(oracles.quad_action(profile, mu), rel=2e-12)
 
 
-def test_action_evaluation_budget(sol):
-    # deterministic guard against a slide back to bisection (about 255 calls)
-    profile = from_solution(sol)
-    calls = []
+def _counting(profile, sizes):
+    """``profile`` with its samples, logging the size of every evaluator call in ``sizes``."""
 
     def counted(f):
         def g(y):
-            calls.append(1)
+            sizes.append(np.size(y))
             return f(y)
 
         return g
@@ -141,20 +139,37 @@ def test_action_evaluation_budget(sol):
     counting = dataclasses.replace(
         profile, evaluator=counted(profile.evaluator), derivative=counted(profile.derivative)
     )
+    vars(counting)["samples"] = profile.samples  # sampled once, by from_function
+    return counting
+
+
+def test_action_evaluation_budget(sol):
+    # deterministic guard against a slide back to bisection (about 255 calls)
+    calls = []
+    counting = _counting(from_solution(sol), calls)
     for mu in (2.45, 7.8, 20.0):
         calls.clear()
         action(counting, mu)
-        assert len(calls) <= 48
+        assert len(calls) <= 12
+
+
+def test_bs_table_makes_no_one_point_evaluator_call(sol):
+    # W is sampled once, by from_function; every later call serves a whole branch
+    sizes = []
+    counting = _counting(from_solution(sol), sizes)
+    for n in range(1, 9):
+        bs_eigenvalue(counting, n)
+    assert sizes and min(sizes) > 1
 
 
 def test_branch_positions_exact_roots():
     targets = np.linspace(0.01, 30.0, 41)
-    right = _branch_positions(harmonic(), targets, 0.0, 50.0)
-    left = _branch_positions(harmonic(), targets, 0.0, -50.0)
+    right = _branch_positions(harmonic(), targets, 1)
+    left = _branch_positions(harmonic(), targets, -1)
     np.testing.assert_allclose(right, np.sqrt(targets), rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(left, -np.sqrt(targets), rtol=0.0, atol=1e-13)
-    right = _branch_positions(simplified(), targets, 0.0, 30.0)
-    left = _branch_positions(simplified(), targets, 0.0, -60.0)
+    right = _branch_positions(simplified(), targets, 1)
+    left = _branch_positions(simplified(), targets, -1)
     np.testing.assert_allclose(right, 0.5 * targets, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(left, -targets, rtol=0.0, atol=1e-13)
 
@@ -164,11 +179,11 @@ def test_branch_positions_bisects_without_slope_and_names_open_branch():
     profile = PotentialProfile(
         lambda y: np.asarray(y) ** 4, lambda y: 0.0 * np.asarray(y), 0.0, 0.0, -1.0, 1.0
     )
-    left = _branch_positions(profile, np.array([0.5, 0.0625]), 0.0, -1.0)
+    left = _branch_positions(profile, np.array([0.5, 0.0625]), -1)
     np.testing.assert_allclose(left, [-(0.5**0.25), -0.5], rtol=1e-15)
-    # a root at 1e-12 needs more halvings of its scan bracket than the round budget
+    # a root at 1e-75 needs more halvings of its 5e-4 wide bracket than the round budget
     with pytest.raises(ConvergenceError, match="right branch"):
-        _branch_positions(profile, np.array([1e-48, 0.5]), 0.0, 1.0)
+        _branch_positions(profile, np.array([1e-300, 0.5]), 1)
 
 
 # closed-form actions: pi mu / 2 for y^2; (2/3) mu^(3/2) from the left branch
@@ -193,6 +208,7 @@ def _profile_and_mu(draw):
 def test_turning_points_and_action_property(case):
     name, mu = case
     profile, closed_form = _CLOSED_FORMS[name]
-    for y in turning_points(profile, mu):
+    for side in (-1, 1):
+        y = _branch_positions(profile, [mu], side)[0]
         assert abs(float(profile(y)) - mu) <= 8.0 * np.spacing(mu)
     assert action(profile, mu) == pytest.approx(closed_form(mu), rel=1e-10)

@@ -10,12 +10,12 @@ from tfpainleve import (
     assemble_M0,
     decay_check,
     eig_smallest,
-    make_operator,
     scaling_study,
     solve_ground_state,
     from_solution,
     uniform_grid,
 )
+from tfpainleve.grids import TridiagonalOperator
 from tfpainleve.groundstate import trap_operator
 
 M0_FIRST_EIGHT = [2.410531, 4.508181, 6.273440, 7.840016,
@@ -32,7 +32,7 @@ def test_sturm_matches_dense_oracle_on_m0_instance(sol):
     h = grid.spacing
     w = from_solution(sol)(grid.nodes)[1:-1]
     off = np.full(w.size - 1, -4.0 / h**2)
-    op = make_operator(off, 8.0 / h**2 + w, off)
+    op = TridiagonalOperator(off, 8.0 / h**2 + w, off)
     mine = eig_smallest(op, 10).eigenvalues
     np.testing.assert_allclose(mine, oracles.dense_smallest(op, 10), atol=1e-9)
 
@@ -41,7 +41,7 @@ def test_sturm_matches_dense_oracle_on_random_operator():
     rng = np.random.default_rng(1709)
     diag = 1.0 + rng.random(200)
     off = rng.random(199) - 0.5
-    op = make_operator(off, diag, off)
+    op = TridiagonalOperator(off, diag, off)
     mine = eig_smallest(op, 10).eigenvalues
     np.testing.assert_allclose(mine, oracles.dense_smallest(op, 10), atol=1e-9)
 
@@ -52,7 +52,7 @@ def test_eigenpairs_pass_sturm_count_oracle(which, sol, gs1_eps01):
         op, k, label = assemble_M0(sol), 8, "M0"
     elif which == "FullLine":
         gs = gs1_eps01
-        op = make_operator(*oracles.full_line_lplus(gs.eps, gs.grid.nodes, gs.eta))
+        op = TridiagonalOperator(*oracles.full_line_lplus(gs.eps, gs.grid.nodes, gs.eta))
         k, label = 8, "generic"
     else:
         op, k, label = assemble_Lplus(gs1_eps01, which), 4, f"Lplus{which}"
@@ -82,7 +82,7 @@ def test_harmonic_surrogate_eigenvalues_closed_form():
     h = grid.spacing
     diag = 8.0 / h**2 + grid.nodes[1:-1] ** 2
     off = np.full(diag.size - 1, -4.0 / h**2)
-    op = make_operator(off, diag, off)
+    op = TridiagonalOperator(off, diag, off)
     eigs = eig_smallest(op, 3).eigenvalues
     np.testing.assert_allclose(eigs, [2.0, 6.0, 10.0], rtol=1e-4)
 
@@ -91,7 +91,7 @@ def test_half_line_sectors_union_is_full_line(gs1_eps01):
     gs = gs1_eps01
     lam_n = eig_smallest(assemble_Lplus(gs, "Neumann"), 4, label="LplusNeumann").eigenvalues
     lam_d = eig_smallest(assemble_Lplus(gs, "Dirichlet"), 4, label="LplusDirichlet").eigenvalues
-    full = make_operator(*oracles.full_line_lplus(gs.eps, gs.grid.nodes, gs.eta))
+    full = TridiagonalOperator(*oracles.full_line_lplus(gs.eps, gs.grid.nodes, gs.eta))
     lam_f = oracles.dense_smallest(full, 8)
     union = np.sort(np.concatenate([lam_n, lam_d]))
     np.testing.assert_allclose(union, lam_f, atol=1e-10)
@@ -145,13 +145,13 @@ def test_eig_smallest_validation(gs1_eps01):
         eig_smallest(op, 0)
     with pytest.raises(ValueError):
         eig_smallest(op, op.n + 1)
-    lop = make_operator([1.0, 1.0], [2.0, 2.0, 2.0], [0.5, 0.5])
+    lop = TridiagonalOperator([1.0, 1.0], [2.0, 2.0, 2.0], [0.5, 0.5])
     with pytest.raises(ValueError, match="symmetric"):
         eig_smallest(lop, 1)
 
 
 def test_eig_smallest_rejects_inaccurate_pairs(monkeypatch):
-    op = make_operator(-np.ones(49), np.full(50, 2.0), -np.ones(49))
+    op = TridiagonalOperator(-np.ones(49), np.full(50, 2.0), -np.ones(49))
     exact = spectrum_module.eigh_tridiagonal
 
     def rough_vectors(*args, **kwargs):
@@ -195,8 +195,10 @@ def test_decay_check_validation(m0_report, sol):
         decay_check(renamed, sol)
 
 
-def test_scaling_table_layout(sol, cset1):
-    table = scaling_study(sol, cset1, (0.1, 0.05), n_pairs=2, nodes_per_layer=24)
+def test_scaling_table_layout(sol, cset1, m0_report):
+    table = scaling_study(
+        sol, cset1, (0.1, 0.05), m0_report.eigenvalues, n_pairs=2, nodes_per_layer=24
+    )
     np.testing.assert_allclose(table.eps, [0.1, 0.1, 0.05, 0.05])
     np.testing.assert_allclose(table.n, [1.0, 2.0, 1.0, 2.0])
     np.testing.assert_allclose(table.scaled_odd, table.lambda_odd / table.eps ** (2.0 / 3.0))
@@ -208,18 +210,21 @@ def test_scaling_table_layout(sol, cset1):
     assert np.all(table.lambda_odd <= table.lambda_even + 1e-12)
 
 
-def test_scaling_table_csv(sol, cset1, tmp_path):
-    table = scaling_study(sol, cset1, (0.1,), n_pairs=1, nodes_per_layer=24)
+def test_scaling_table_csv(sol, cset1, m0_report, tmp_path):
+    table = scaling_study(sol, cset1, (0.1,), m0_report.eigenvalues, n_pairs=1, nodes_per_layer=24)
     path = tmp_path / "scaling.csv"
     table.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "eps,n,lambda_odd,lambda_even,scaled_odd,scaled_even,mu_n,pair_gap"
 
 
-def test_scaling_study_validation(sol, cset1, cset2):
+def test_scaling_study_validation(sol, cset1, cset2, m0_report):
+    mu = m0_report.eigenvalues
     with pytest.raises(ValueError, match="d=1"):
-        scaling_study(sol, cset2, (0.1,))
+        scaling_study(sol, cset2, (0.1,), mu)
     with pytest.raises(ValueError, match="empty"):
-        scaling_study(sol, cset1, ())
+        scaling_study(sol, cset1, (), mu)
+    with pytest.raises(ValueError, match="distinct"):
+        scaling_study(sol, cset1, (0.1, 0.05, 0.1), mu)
     with pytest.raises(ValueError, match="n_pairs"):
-        scaling_study(sol, cset1, (0.1,), n_pairs=2, mu=[2.41])
+        scaling_study(sol, cset1, (0.1,), [2.41], n_pairs=2)
