@@ -67,10 +67,11 @@ def _parse_value(key: str, raw: str):
 
 
 def load_config(path: str | None) -> dict:
-    """Defaults overridden by key=value lines; '#' starts a comment."""
+    """Defaults overridden by key=value lines, each key at most once; '#' starts a comment."""
     cfg = dict(_DEFAULTS)
     if path is None:
         return cfg
+    seen = {}
     try:
         with open(path) as f:
             lines = f.readlines()
@@ -85,6 +86,9 @@ def load_config(path: str | None) -> dict:
         key, raw = (part.strip() for part in text.split("=", 1))
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown configuration key {key!r}")
+        if key in seen:
+            raise ConfigError(f"key {key!r} is given twice, on lines {seen[key]} and {lineno}")
+        seen[key] = lineno
         cfg[key] = _parse_value(key, raw)
     return cfg
 
@@ -105,8 +109,9 @@ def validate_config(cfg: dict) -> None:
             raise ConfigError(
                 f"eps * dimension must be below 1, got eps = {e} in dimension {cfg['dimension']}"
             )
-    if len(set(cfg["eps"])) < len(cfg["eps"]):
-        raise ConfigError(f"eps values must be distinct, got {cfg['eps']}")
+    # the labels name the per-eps CSV files and summary keys
+    if len({f"{e:g}" for e in cfg["eps"]}) < len(cfg["eps"]):
+        raise ConfigError(f"eps values must have distinct 6-digit labels, got {cfg['eps']}")
     if not 1 <= cfg["order"] <= 3:
         raise ConfigError(f"order must be between 1 and 3, got {cfg['order']}")
     if cfg["y_min"] > -15.0 or cfg["y_max"] < 30.0:

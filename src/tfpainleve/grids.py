@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -148,32 +147,14 @@ class UniformSpline:
         self._a = grid.a
         self._inv_h = 1.0 / h
 
-    def _locate(self, y):
-        """Interval index and local offset t of the points y.
-
-        ``take`` in clip mode clamps the index to [0, n - 2], so points
-        outside the grid use the end intervals.
-        """
+    def __call__(self, y):
+        # ``take`` in clip mode clamps the interval index to [0, n - 2], so
+        # points outside the grid use the end intervals
         y = np.asarray(y, dtype=float)
         k = ((y - self._a) * self._inv_h).astype(np.intp)
-        return k, y - self._knots.take(k, mode="clip")
-
-    def __call__(self, y):
-        k, t = self._locate(y)
+        t = y - self._knots.take(k, mode="clip")
         d, c, b, a = self._value.take(k, axis=0, mode="clip").T
         out = ((d * t + c) * t + b) * t + a
-        return out if out.ndim else float(out)
-
-    @cached_property
-    def _slope(self):
-        # built on the first derivative call: most splines are only evaluated
-        d, c, b, _ = self._value.T
-        return np.stack([3.0 * d, 2.0 * c, b], axis=1)
-
-    def derivative(self, y):
-        k, t = self._locate(y)
-        d, c, b = self._slope.take(k, axis=0, mode="clip").T
-        out = (d * t + c) * t + b
         return out if out.ndim else float(out)
 
 

@@ -8,11 +8,12 @@ remove the square-root turning point singularity and leave the smooth,
 derivative-free integrand T cos(phi) |y(phi) - y_well| for Gauss-Legendre
 quadrature.
 
-One sampling of W serves both the certification and the root solves: the
-scan on which ``from_function`` certifies the well is kept as the profile's
-``samples``, and ``_branch_positions`` brackets every quadrature node's
-position in it, then solves W(y) = target by vectorized Newton kept inside
-the bracket by midpoint fallbacks.
+One sampling of W serves both the certification and the root solves, and
+nothing needs W': the scan on which ``from_function`` certifies the well is
+kept on the profile, each branch's bracket table is built from it once, and
+``_branch_positions`` brackets every quadrature node's position in that
+table, then solves W(y) = target by vectorized secant steps kept inside the
+bracket by midpoint fallbacks.
 """
 
 from __future__ import annotations
@@ -34,29 +35,23 @@ _EPS = float(np.finfo(float).eps)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # field-wise == on the scan arrays would be ambiguous
 class PotentialProfile:
-    """Single-well potential certified monotone on each side of its minimum."""
+    """Single-well W, certified monotone on each side of its minimum by the scan ws = W(ys)."""
 
     evaluator: object
-    derivative: object
     well_location: float
     well_value: float
-    y_left: float
-    y_right: float
+    ys: np.ndarray
+    ws: np.ndarray
 
     def __call__(self, y):
         return self.evaluator(y)
 
     @cached_property
-    def samples(self):
-        """(ys, W(ys)) on ``_SAMPLES`` uniform points spanning [y_left, y_right].
-
-        ``from_function`` stores its certification scan here, so W is sampled
-        once per profile.
-        """
-        ys = np.linspace(self.y_left, self.y_right, _SAMPLES)
-        return ys, np.asarray(self.evaluator(ys), dtype=float)
+    def _brackets(self):
+        """Both sides' ``_bracket_table``, built on first use."""
+        return {side: _bracket_table(self, side) for side in (-1, 1)}
 
 
 def _golden_min(f, a: float, b: float, tol: float = 1e-13):
@@ -77,17 +72,20 @@ def _golden_min(f, a: float, b: float, tol: float = 1e-13):
     return x, f(x)
 
 
-def from_function(f, y_left: float, y_right: float, derivative) -> PotentialProfile:
+def from_function(f, y_left: float, y_right: float) -> PotentialProfile:
     """Certify a callable as single-well by scanning, then refine the bottom.
 
-    ``derivative`` evaluates W' for the root solves.  Plateaus in the scan
-    are tolerated (broken toward the well); any strict rise left of the
-    minimum or fall right of it rejects the potential.
+    Plateaus in the scan are tolerated (broken toward the well); a
+    non-finite value, or any strict rise left of the minimum or fall right
+    of it, rejects the potential.
     """
     if not y_right > y_left:
         raise ValueError(f"empty certification range [{y_left}, {y_right}]")
     ys = np.linspace(y_left, y_right, _SAMPLES)
     w = np.asarray(f(ys), dtype=float)
+    bad = ~np.isfinite(w)
+    if bad.any():
+        raise ValueError(f"potential is not finite on the certified range at y = {ys[bad][0]:g}")
     i = int(np.argmin(w))
     if i == 0 or i == _SAMPLES - 1:
         raise ValueError("potential has no interior minimum on the certified range")
@@ -97,51 +95,53 @@ def from_function(f, y_left: float, y_right: float, derivative) -> PotentialProf
     if np.any(np.diff(w[i:]) < -slack):
         raise ValueError("potential falls right of its minimum: not single-well")
     loc, val = _golden_min(lambda t: float(f(t)), float(ys[i - 1]), float(ys[i + 1]))
-    profile = PotentialProfile(f, derivative, loc, val, float(y_left), float(y_right))
-    vars(profile)["samples"] = ys, w  # the cached_property's value, without a second scan
-    return profile
+    return PotentialProfile(f, loc, val, ys, w)
 
 
 def from_solution(sol: PainleveSolution) -> PotentialProfile:
     """Profile of W0 = 3 nu0^2 - y over the layer grid."""
-    spline = UniformSpline(sol.grid, sol.w0)
-    return from_function(spline, sol.grid.a, sol.grid.b, spline.derivative)
+    return from_function(UniformSpline(sol.grid, sol.w0), sol.grid.a, sol.grid.b)
+
+
+def _bracket_table(W: PotentialProfile, side: int):
+    """The well bottom, then the scan outward: positions, W, sqrt(running max W - W.well_value).
+
+    The running maximum keeps the last column sorted through tolerated plateaus.
+    """
+    outward = side * (W.ys - W.well_location) > 0.0
+    ys = np.concatenate(([W.well_location], W.ys[outward][::side]))
+    ws = np.concatenate(([W.well_value], W.ws[outward][::side]))
+    return ys, ws, np.sqrt(np.maximum.accumulate(ws) - W.well_value)
 
 
 def _branch_positions(W: PotentialProfile, targets, side: int):
-    """Solve W(y) = target on one monotone branch by vectorized safeguarded Newton.
+    """Solve W(y) = target on one monotone branch by vectorized safeguarded secant.
 
     ``side`` is -1 for the branch left of the well bottom and +1 for the one
     right of it; targets must lie between W.well_value and W at that end of
-    the certified range.  The well bottom followed by ``W.samples`` beyond it
-    brackets every target.  The start interpolates sqrt(W - W.well_value)
-    linearly over the bracket: that root is nearly linear in y at the well
-    bottom, where W itself is quadratic and a linear start would leave Newton
-    halving its distance per step.  Newton steps use ``W.derivative``; a step
-    that leaves its bracket falls back to the bracket midpoint.  A node is
-    done when |W(y) - target| <= 4 eps_mach max(|target|, |W.well_value|), the
-    largest |W| between the well and the root, or when its bracket has shrunk
-    to rounding.  A step-size test would never fire near the bottom, where
-    W' -> 0 leaves the root good only to about 1e-11.  Nodes still open after
-    ``_ROOT_ROUNDS`` rounds raise ``ConvergenceError``.
+    the certified range, so the side's ``_bracket_table`` brackets each one.
+    The start interpolates sqrt(W - W.well_value) linearly over the bracket:
+    that root is nearly linear in y at the well bottom, where W is quadratic.
+    Each secant step runs through the node's previous evaluation, at first
+    the bracket's upper end, whose W the scan holds; a step that leaves the
+    bracket falls back to its midpoint.  A node is done when |W(y) - target|
+    <= 4 eps_mach max(|target|, |W.well_value|), the largest |W| between the
+    well and the root, or when its bracket has shrunk to rounding; a
+    step-size test would never fire near the bottom, where W' -> 0.  Nodes
+    still open after ``_ROOT_ROUNDS`` rounds raise ``ConvergenceError``.
     """
     targets = np.asarray(targets, dtype=float)
-    ys, ws = W.samples
-    outward = side * (ys - W.well_location) > 0.0
-    ys = np.concatenate(([W.well_location], ys[outward][::side]))
-    ws = np.concatenate(([W.well_value], ws[outward][::side]))
+    ys, ws, scan_root = W._brackets[side]
     # W lies between the well value and the target from the well to the root,
     # so this bounds |W| there: the scale of the residual's rounding
     tol = 4.0 * _EPS * np.maximum(np.abs(targets), abs(W.well_value))
-    # W rises outward on a certified branch; the running maximum keeps the
-    # samples sorted through tolerated plateaus
-    scan_root = np.sqrt(np.maximum.accumulate(ws) - W.well_value)
     root = np.sqrt(np.maximum(targets - W.well_value, 0.0))
     k = np.clip(np.searchsorted(scan_root, root), 1, ys.size - 1)
     a, b = ys[k - 1], ys[k]  # W(a) <= target <= W(b)
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = (root - scan_root[k - 1]) / (scan_root[k] - scan_root[k - 1])
     y = np.where(np.isfinite(frac), a + np.clip(frac, 0.0, 1.0) * (b - a), 0.5 * (a + b))
+    y_prev, r_prev = ys[k], ws[k] - targets
 
     live = np.arange(targets.size)
     for _ in range(_ROOT_ROUNDS):
@@ -157,7 +157,8 @@ def _branch_positions(W: PotentialProfile, targets, side: int):
         if live.size == 0:
             return y
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = yl - r / np.asarray(W.derivative(yl), dtype=float)
+            step = yl - r * (yl - y_prev[live]) / (r - r_prev[live])
+        y_prev[live], r_prev[live] = yl, r
         inside = (step - al) * (step - bl) < 0.0
         y[live] = np.where(inside, step, 0.5 * (al + bl))
     name = "right" if side > 0 else "left"
@@ -194,8 +195,7 @@ def action(W: PotentialProfile, mu: float) -> float:
     """
     if not mu > W.well_value:
         raise ValueError(f"mu = {mu:g} is not above the well bottom {W.well_value:g}")
-    _, ws = W.samples
-    for name, w_end in (("left", ws[0]), ("right", ws[-1])):
+    for name, w_end in (("left", W.ws[0]), ("right", W.ws[-1])):
         if w_end < mu:
             raise ValueError(f"mu = {mu:g} exceeds the certified range on the {name}")
     phi, weights = _phase_rule()

@@ -257,14 +257,14 @@ def quad_action(profile, mu: float) -> float:
 
     Turning points by Brent's method on each side of the well, then QUADPACK
     on each branch directly in y: its extrapolation absorbs the square-root
-    endpoint singularities.  Reads only the profile's evaluator and its
-    well and range fields.
+    endpoint singularities.  Reads only the profile's evaluator, its well
+    and the ends of its scan.
     """
     w = profile.evaluator
     g = lambda y: float(w(y)) - mu  # noqa: E731
     well = profile.well_location
-    y_minus = brentq(g, profile.y_left, well, xtol=1e-15, rtol=4 * np.finfo(float).eps)
-    y_plus = brentq(g, well, profile.y_right, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    y_minus = brentq(g, profile.ys[0], well, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    y_plus = brentq(g, well, profile.ys[-1], xtol=1e-15, rtol=4 * np.finfo(float).eps)
     f = lambda y: np.sqrt(max(-g(y), 0.0))  # noqa: E731
     total = 0.0
     for a, b in ((y_minus, well), (well, y_plus)):

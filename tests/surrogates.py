@@ -1,14 +1,23 @@
 """Closed-form single-well profiles for the Bohr-Sommerfeld tests.
 
-Both are built on the package's PotentialProfile, so they live here and not
-in oracles.py, which must stay independent of tfpainleve.
+Both are certified by the package's from_function, on the same scan as any
+other profile, and then given their exact well bottom (0, 0), so they live
+here and not in oracles.py, which must stay independent of tfpainleve.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from tfpainleve.semiclassics import PotentialProfile
+from tfpainleve.semiclassics import PotentialProfile, from_function
+
+
+def exact_well(w, y_left: float, y_right: float) -> PotentialProfile:
+    """``w`` certified on [y_left, y_right], with its well bottom set to exactly (0, 0)."""
+    profile = from_function(w, y_left, y_right)
+    return dataclasses.replace(profile, well_location=0.0, well_value=0.0)
 
 
 def simplified(y_left: float = -60.0, y_right: float = 30.0) -> PotentialProfile:
@@ -19,12 +28,7 @@ def simplified(y_left: float = -60.0, y_right: float = 30.0) -> PotentialProfile
         out = np.where(y >= 0.0, 2.0 * y, -y)
         return out if out.ndim else float(out)
 
-    def dw(y):
-        y = np.asarray(y, dtype=float)
-        out = np.where(y >= 0.0, 2.0, -1.0)
-        return out if out.ndim else float(out)
-
-    return PotentialProfile(w, dw, 0.0, 0.0, float(y_left), float(y_right))
+    return exact_well(w, y_left, y_right)
 
 
 def harmonic(y_left: float = -50.0, y_right: float = 50.0) -> PotentialProfile:
@@ -35,9 +39,4 @@ def harmonic(y_left: float = -50.0, y_right: float = 50.0) -> PotentialProfile:
         out = y * y
         return out if out.ndim else float(out)
 
-    def dw(y):
-        y = np.asarray(y, dtype=float)
-        out = 2.0 * y
-        return out if out.ndim else float(out)
-
-    return PotentialProfile(w, dw, 0.0, 0.0, float(y_left), float(y_right))
+    return exact_well(w, y_left, y_right)

@@ -58,6 +58,10 @@ def test_load_config_errors(tmp_path):
         load_config(str(bad_line))
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.cfg"))
+    repeated = tmp_path / "d.cfg"
+    repeated.write_text("eps = 0.1\norder = 3\neps = 0.05, 0.025\n")
+    with pytest.raises(ConfigError, match="'eps' is given twice, on lines 1 and 3"):
+        load_config(str(repeated))
 
 
 @pytest.mark.parametrize(
@@ -78,6 +82,7 @@ def test_load_config_errors(tmp_path):
         ("order", 0, "order"),
         ("eps", (0.1, 0.1), "distinct"),
         ("bs_levels", (2, 1, 2), "distinct"),
+        ("eps", (0.1, 0.1000001), "distinct 6-digit labels"),
     ],
 )
 def test_validate_config_rejects(key, value, fragment):

@@ -131,11 +131,7 @@ def test_spline_matches_scipy_not_a_knot_oracle(n):
     oracle = CubicSpline(g.nodes, v)
     y = np.concatenate((rng.uniform(g.a, g.b, 1000), g.nodes, [g.a, g.b]))
     scale = np.max(np.abs(v))
-    # rounding of the second derivatives enters the slope through one division by h
     np.testing.assert_allclose(spline(y), oracle(y), rtol=0.0, atol=50 * _EPS * scale)
-    np.testing.assert_allclose(
-        spline.derivative(y), oracle(y, 1), rtol=0.0, atol=50 * _EPS * scale / g.spacing
-    )
 
 
 @pytest.mark.parametrize("n", [4, 5, 50])
@@ -145,20 +141,15 @@ def test_spline_reproduces_cubics(n):
     def p(y):
         return 1.0 - 2.0 * y + 0.5 * y**2 + 0.3 * y**3
 
-    def dp(y):
-        return -2.0 + y + 0.9 * y**2
-
     spline = UniformSpline(g, p(g.nodes))
     y = np.linspace(-1.2, 2.2, 301)  # the end cubics extrapolate
     np.testing.assert_allclose(spline(y), p(y), rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(spline.derivative(y), dp(y), rtol=0.0, atol=1e-12)
 
 
 def test_spline_scalar_in_float_out():
     g = uniform_grid(0.0, 1.0, 11)
     spline = UniformSpline(g, g.nodes**2)
     assert type(spline(0.35)) is float
-    assert type(spline.derivative(0.35)) is float
     assert spline(np.array([0.35])).shape == (1,)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from surrogates import harmonic, simplified
+from surrogates import exact_well, harmonic, simplified
 from tfpainleve import (
     ConvergenceError,
     action,
@@ -17,7 +17,7 @@ from tfpainleve import (
     w0_min,
 )
 from tfpainleve import semiclassics
-from tfpainleve.semiclassics import PotentialProfile, _branch_positions
+from tfpainleve.semiclassics import _branch_positions
 
 
 def test_simplified_rule_matches_closed_form():
@@ -62,18 +62,33 @@ def test_action_validation():
 
 
 def test_from_function_certifies_single_well():
-    profile = from_function(lambda y: np.asarray(y) ** 2, -5.0, 5.0, lambda y: 2.0 * np.asarray(y))
+    profile = from_function(lambda y: np.asarray(y) ** 2, -5.0, 5.0)
     assert profile.well_value == pytest.approx(0.0, abs=1e-12)
     assert profile.well_location == pytest.approx(0.0, abs=1e-6)
 
 
 def test_from_function_rejections():
     with pytest.raises(ValueError, match="not single-well"):
-        from_function(np.sin, -6.0, 6.0, np.cos)
+        from_function(np.sin, -6.0, 6.0)
     with pytest.raises(ValueError, match="interior minimum"):
-        from_function(lambda y: -np.asarray(y, dtype=float), 0.0, 1.0, lambda y: -1.0)
+        from_function(lambda y: -np.asarray(y, dtype=float), 0.0, 1.0)
     with pytest.raises(ValueError, match="empty certification range"):
-        from_function(np.cos, 1.0, 1.0, lambda y: -np.sin(y))
+        from_function(np.cos, 1.0, 1.0)
+
+    # an interior NaN would pass as the well bottom, and an infinite plateau as
+    # a steep wall that silently shortens the action (30.14 against 10 pi at mu = 20)
+    def nan_band(y):
+        y = np.asarray(y, dtype=float)
+        return np.where(np.abs(y - 1.0) < 0.01, np.nan, y * y)
+
+    def inf_walls(y):
+        y = np.asarray(y, dtype=float)
+        return np.where(np.abs(y) > 4.0, np.inf, y * y)
+
+    with pytest.raises(ValueError, match=r"not finite on the certified range at y = 0\.99$"):
+        from_function(nan_band, -5.0, 5.0)
+    with pytest.raises(ValueError, match="not finite on the certified range at y = -10"):
+        from_function(inf_walls, -10.0, 10.0)
 
 
 def test_layer_potential_profile_matches_w0_minimum(sol):
@@ -81,7 +96,7 @@ def test_layer_potential_profile_matches_w0_minimum(sol):
     location, value = w0_min(sol)
     assert profile.well_value == pytest.approx(value, abs=1e-6)
     assert profile.well_location == pytest.approx(location, abs=1e-3)
-    assert profile.derivative is not None
+    assert (profile.ys[0], profile.ys[-1]) == (sol.grid.a, sol.grid.b)
 
 
 def test_quantization_tracks_layer_operator(sol, m0_report):
@@ -127,30 +142,24 @@ def test_layer_action_matches_quadrature_oracle(sol):
 
 
 def _counting(profile, sizes):
-    """``profile`` with its samples, logging the size of every evaluator call in ``sizes``."""
+    """``profile`` with its scan, logging the size of every evaluator call in ``sizes``."""
 
-    def counted(f):
-        def g(y):
-            sizes.append(np.size(y))
-            return f(y)
+    def counted(y):
+        sizes.append(np.size(y))
+        return profile.evaluator(y)
 
-        return g
-
-    counting = dataclasses.replace(
-        profile, evaluator=counted(profile.evaluator), derivative=counted(profile.derivative)
-    )
-    vars(counting)["samples"] = profile.samples  # sampled once, by from_function
-    return counting
+    return dataclasses.replace(profile, evaluator=counted)
 
 
 def test_action_evaluation_budget(sol):
-    # deterministic guard against a slide back to bisection (about 255 calls)
+    # deterministic guard against a slide back to bisection (about 255 calls):
+    # four secant rounds per branch, and no W' call
     calls = []
     counting = _counting(from_solution(sol), calls)
     for mu in (2.45, 7.8, 20.0):
         calls.clear()
         action(counting, mu)
-        assert len(calls) <= 12
+        assert len(calls) <= 8
 
 
 def test_bs_table_makes_no_one_point_evaluator_call(sol):
@@ -160,6 +169,22 @@ def test_bs_table_makes_no_one_point_evaluator_call(sol):
     for n in range(1, 9):
         bs_eigenvalue(counting, n)
     assert sizes and min(sizes) > 1
+
+
+def test_bs_table_builds_each_bracket_table_once(sol, monkeypatch):
+    # the tables depend only on the profile's scan and well, not on mu
+    built = []
+    build = semiclassics._bracket_table
+
+    def counted(W, side):
+        built.append(side)
+        return build(W, side)
+
+    monkeypatch.setattr(semiclassics, "_bracket_table", counted)
+    profile = from_solution(sol)
+    for n in range(1, 9):
+        bs_eigenvalue(profile, n)
+    assert sorted(built) == [-1, 1]
 
 
 def test_branch_positions_exact_roots():
@@ -174,14 +199,12 @@ def test_branch_positions_exact_roots():
     np.testing.assert_allclose(left, -targets, rtol=0.0, atol=1e-13)
 
 
-def test_branch_positions_bisects_without_slope_and_names_open_branch():
-    # a zero slope gives no Newton step, so every round falls back to the midpoint
-    profile = PotentialProfile(
-        lambda y: np.asarray(y) ** 4, lambda y: 0.0 * np.asarray(y), 0.0, 0.0, -1.0, 1.0
-    )
+def test_branch_positions_quartic_roots_and_names_open_branch():
+    # the quartic's flat bottom is where secant steps converge slowest
+    profile = exact_well(lambda y: np.asarray(y) ** 4, -1.0, 1.0)
     left = _branch_positions(profile, np.array([0.5, 0.0625]), -1)
     np.testing.assert_allclose(left, [-(0.5**0.25), -0.5], rtol=1e-15)
-    # a root at 1e-75 needs more halvings of its 5e-4 wide bracket than the round budget
+    # a root at 1e-75 needs more shrinking of its 5e-4 wide bracket than the round budget
     with pytest.raises(ConvergenceError, match="right branch"):
         _branch_positions(profile, np.array([1e-300, 0.5]), 1)
 
@@ -198,7 +221,7 @@ _CLOSED_FORMS = {
 def _profile_and_mu(draw):
     name = draw(st.sampled_from(sorted(_CLOSED_FORMS)))
     profile = _CLOSED_FORMS[name][0]
-    top = float(profile(profile.y_right))
+    top = profile.ws[-1]
     mu = draw(st.floats(profile.well_value + 1e-3, top - 1e-3))
     return name, mu
 
