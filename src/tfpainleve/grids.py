@@ -2,10 +2,40 @@
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension, loaded from its file.
+
+    ``import scipy.linalg`` runs the package ``__init__``, whose numpy
+    namespace clone imports numpy.f2py, numpy.testing, numpy.ma and
+    numpy.random: about half of a cold ``tfp`` start.  The extension needs
+    numpy only.  ``find_spec`` locates scipy without importing it; another
+    scipy layout falls back to ``scipy.linalg.lapack``, which wraps the same
+    routines.
+    """
+    spec = importlib.util.find_spec("scipy")
+    for directory in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", path)
+                spec = importlib.util.spec_from_file_location(loader.name, path, loader=loader)
+                module = importlib.util.module_from_spec(spec)
+                loader.exec_module(module)
+                return module
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+lapack = _load_flapack()
 
 
 class SingularPivotError(ValueError):

@@ -8,9 +8,10 @@ are the eps^(2/3)-scaled limits of the trap linearization
 a double-well operator whose spectrum splits into even / odd sectors solved on
 the half line with a Neumann / Dirichlet condition at the origin.  Eigenpairs
 come from LAPACK Sturm-count bisection (dstebz) and inverse iteration (dstein)
-through scipy, and are accepted only after a residual check, with the
-Rayleigh quotient reported; the scaling study tabulates lambda / eps^(2/3)
-against mu_n, and decay certificates bound |u_m(y)| by C_m exp(-|y|).
+in scipy's LAPACK extension, loaded by ``grids`` without scipy.linalg, and are
+accepted only after a residual check, with the Rayleigh quotient reported; the
+scaling study tabulates lambda / eps^(2/3) against mu_n, and decay
+certificates bound |u_m(y)| by C_m exp(-|y|).
 
 The certificates are for the discrete M0 eigenvectors of unit l2 norm (so C_m
 scales like sqrt(h)) and are taken over the window W0(y) < mu_m + 8; beyond it
@@ -23,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from ._io import write_csv
 from .corrections import CorrectionSet
-from .grids import TridiagonalOperator, first_difference, uniform_grid
+from .grids import TridiagonalOperator, first_difference, lapack, uniform_grid
 from .groundstate import GroundState, solve_ground_state, trap_operator
 from .painleve import ConvergenceError, PainleveSolution, layer_operator
 
@@ -82,6 +82,33 @@ def assemble_Lplus(gs: GroundState, bc: str) -> TridiagonalOperator:
     return TridiagonalOperator(off[first:], op.diag[first:], off[first:])
 
 
+def _check_info(routine: str, info: int) -> None:
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK {routine}")
+    if info > 0:
+        raise ConvergenceError(f"LAPACK {routine} did not converge (info = {info})")
+
+
+def _tridiagonal_pairs(d: np.ndarray, e: np.ndarray, k: int):
+    """k smallest eigenpairs, ascending: the calls eigh_tridiagonal makes for stebz.
+
+    dstebz (range 2: indices 1..k, default abstol, block order "B" as dstein
+    needs), dstein on the m values found, then an argsort into matrix order.
+    One node has the pair (d[0], [[1.0]]); dstebz rejects n = 1 arrays.
+    """
+    if d.size == 1:
+        return d.copy(), np.ones((1, 1))
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    _check_info("dstebz", info)
+    if m < k:
+        raise ConvergenceError(f"LAPACK dstebz found {m} of the {k} smallest eigenvalues")
+    w = w[:m]
+    v, info = lapack.dstein(d, e, w, iblock, isplit)
+    _check_info("dstein", info)
+    order = np.argsort(w)
+    return w[order], v[:, order]
+
+
 def eig_smallest(op: TridiagonalOperator, k: int, label: str = "generic") -> SpectrumReport:
     """k smallest eigenvalues by LAPACK Sturm bisection, checked by Rayleigh quotients.
 
@@ -104,12 +131,9 @@ def eig_smallest(op: TridiagonalOperator, k: int, label: str = "generic") -> Spe
     scale = max(abs(float(np.min(op.diag - rad))), abs(float(np.max(op.diag + rad))))
     if scale == 0.0:
         raise ValueError("zero operator")
-    try:
-        approx, vecs = eigh_tridiagonal(
-            op.diag, op.sub, select="i", select_range=(0, k - 1), lapack_driver="stebz"
-        )
-    except LinAlgError as exc:
-        raise ConvergenceError(f"LAPACK tridiagonal eigensolve failed: {exc}") from exc
+    if not np.isfinite(scale):
+        raise ValueError("operator has non-finite entries")
+    approx, vecs = _tridiagonal_pairs(op.diag, op.sub, k)
 
     tv = np.column_stack([op.apply(u) for u in vecs.T])
     evals = np.einsum("ij,ij->j", vecs, tv)

@@ -152,7 +152,7 @@ def test_eig_smallest_validation(gs1_eps01):
 
 def test_eig_smallest_rejects_inaccurate_pairs(monkeypatch):
     op = TridiagonalOperator(-np.ones(49), np.full(50, 2.0), -np.ones(49))
-    exact = spectrum_module.eigh_tridiagonal
+    exact = spectrum_module._tridiagonal_pairs
 
     def rough_vectors(*args, **kwargs):
         w, v = exact(*args, **kwargs)
@@ -162,12 +162,18 @@ def test_eig_smallest_rejects_inaccurate_pairs(monkeypatch):
         w, v = exact(*args, **kwargs)
         return w + 1e-3, v
 
-    monkeypatch.setattr(spectrum_module, "eigh_tridiagonal", rough_vectors)
+    monkeypatch.setattr(spectrum_module, "_tridiagonal_pairs", rough_vectors)
     with pytest.raises(ConvergenceError, match="residual"):
         eig_smallest(op, 3)
-    monkeypatch.setattr(spectrum_module, "eigh_tridiagonal", shifted_values)
+    monkeypatch.setattr(spectrum_module, "_tridiagonal_pairs", shifted_values)
     with pytest.raises(ConvergenceError, match="drifted"):
         eig_smallest(op, 3)
+
+
+def test_eig_smallest_one_node():
+    report = eig_smallest(TridiagonalOperator([], [2.0], []), 1)
+    np.testing.assert_array_equal(report.eigenvalues, [2.0])
+    np.testing.assert_array_equal(report.eigenvectors, [[1.0]])
 
 
 def test_decay_certificates(m0_report, sol):
