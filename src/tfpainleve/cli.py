@@ -272,10 +272,10 @@ def cmd_groundstate(cfg, out, plots, stages) -> None:
 
     def one(eps):
         gs = solve_ground_state(
-            eps, d, tol=cfg["gs_tol"], r_max=cfg["r_max"],
-            nodes_per_layer=cfg["nodes_per_layer"], painleve_sol=sol, correction_set=cset,
+            eps, cset, tol=cfg["gs_tol"], r_max=cfg["r_max"],
+            nodes_per_layer=cfg["nodes_per_layer"],
         )
-        comp = composite_eta(sol, cset, eps, gs.grid.nodes)
+        comp = composite_eta(cset, eps, gs.grid.nodes)
         return gs, comp
 
     eps_list = sorted(cfg["eps"], reverse=True)
@@ -337,7 +337,7 @@ def cmd_spectrum(cfg, out, plots, stages) -> None:
     table = stages.run(
         "scaling",
         lambda: scaling_study(
-            sol, cset, cfg["eps"], _m0_eigenvalues(sol, cfg["n_pairs"]), n_pairs=cfg["n_pairs"],
+            cset, cfg["eps"], _m0_eigenvalues(sol, cfg["n_pairs"]), n_pairs=cfg["n_pairs"],
             nodes_per_layer=cfg["nodes_per_layer"], gs_tol=cfg["gs_tol"],
         ),
     )
@@ -373,10 +373,7 @@ def cmd_study(cfg, out, plots, stages) -> None:
     order = cfg["order"]
     cset = stages.run("corrections", lambda: build_corrections(sol, d, order=order))
     cset.to_csv(os.path.join(out, "corrections.csv"))
-    remainder = stages.run(
-        "remainder",
-        lambda: remainder_study(sol, cset, cfg["eps"], d),
-    )
+    remainder = stages.run("remainder", lambda: remainder_study(cset, cfg["eps"]))
     remainder.to_csv(os.path.join(out, "remainder.csv"))
     cset1 = cset if d == 1 else stages.run(
         "corrections", lambda: build_corrections(sol, 1, order=order)
@@ -387,7 +384,7 @@ def cmd_study(cfg, out, plots, stages) -> None:
         # one M0 solve serves both the scaling table and the Bohr-Sommerfeld table
         mu = _m0_eigenvalues(sol, max(cfg["n_pairs"], levels[-1]))
         table = scaling_study(
-            sol, cset1, cfg["eps"], mu, n_pairs=cfg["n_pairs"],
+            cset1, cfg["eps"], mu, n_pairs=cfg["n_pairs"],
             nodes_per_layer=cfg["nodes_per_layer"], gs_tol=cfg["gs_tol"],
         )
         return mu, table

@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from ._io import write_csv
-from .grids import Grid1D, UniformSpline, first_difference, second_difference, solve_tridiagonal
+from .grids import UniformSpline, first_difference, second_difference, solve_tridiagonal
 from .painleve import PainleveSolution, layer_operator
 
 # far-field exponent of nu_n y^(beta - 2n): beta = -5/2 in d = 1 where the
@@ -32,14 +32,16 @@ _FIT_FLOOR = 1e-11
 
 @dataclass(frozen=True)
 class CorrectionSet:
-    """Solved corrections nu_1..nu_N with their forcings on the profile grid."""
+    """Layer expansion nu_0 + sum eps^(2n/3) nu_n of one dimension.
 
+    ``profile`` holds nu_0 and its grid; ``terms`` and ``forcings`` hold the
+    solved corrections nu_1..nu_N and their forcings F_1..F_N on that grid.
+    """
+
+    profile: PainleveSolution
     dimension: int
-    order: int
     terms: tuple
     forcings: tuple
-    beta: float
-    grid_nodes: np.ndarray
 
     def __post_init__(self):
         for name in ("terms", "forcings"):
@@ -47,35 +49,19 @@ class CorrectionSet:
             for a in arrs:
                 a.setflags(write=False)
             object.__setattr__(self, name, arrs)
-        nodes = np.asarray(self.grid_nodes, dtype=float)
-        nodes.setflags(write=False)
-        object.__setattr__(self, "grid_nodes", nodes)
 
-    def term(self, n: int) -> np.ndarray:
-        if not 1 <= n <= self.order:
-            raise ValueError(f"correction index {n} outside 1..{self.order}")
-        return self.terms[n - 1]
-
-    def forcing(self, n: int) -> np.ndarray:
-        if not 1 <= n <= self.order:
-            raise ValueError(f"forcing index {n} outside 1..{self.order}")
-        return self.forcings[n - 1]
+    @property
+    def order(self) -> int:
+        return len(self.terms)
 
     @cached_property
     def _splines(self):
-        grid = Grid1D(self.grid_nodes)
-        return tuple(UniformSpline(grid, t) for t in self.terms)
+        return tuple(UniformSpline(self.profile.grid, t) for t in self.terms)
 
     def to_csv(self, path) -> None:
-        header = ["y"]
-        cols = [self.grid_nodes]
-        for n in range(1, self.order + 1):
-            header.append(f"nu{n}")
-            cols.append(self.terms[n - 1])
-        for n in range(1, self.order + 1):
-            header.append(f"F{n}")
-            cols.append(self.forcings[n - 1])
-        write_csv(path, header, cols)
+        orders = range(1, self.order + 1)
+        header = ["y", *(f"nu{n}" for n in orders), *(f"F{n}" for n in orders)]
+        write_csv(path, header, [self.profile.grid.nodes, *self.terms, *self.forcings])
 
 
 def nu0_second_derivative(sol: PainleveSolution) -> np.ndarray:
@@ -201,17 +187,11 @@ def build_corrections(sol: PainleveSolution, dimension: int, order: int = 2) -> 
         _check_tail_slope(sol, nun, beta - 2.0 * n, f"nu_{n} (d={dimension})")
         terms.append(nun)
         forcings.append(Fn)
-    return CorrectionSet(
-        dimension=dimension,
-        order=order,
-        terms=tuple(terms),
-        forcings=tuple(forcings),
-        beta=beta,
-        grid_nodes=sol.grid.nodes,
-    )
+    return CorrectionSet(profile=sol, dimension=dimension, terms=tuple(terms),
+                         forcings=tuple(forcings))
 
 
-def composite_nu(sol: PainleveSolution, cset: CorrectionSet, eps: float, y):
+def composite_nu(cset: CorrectionSet, eps: float, y):
     """Truncated layer expansion sum_{n=0}^{N} eps^(2n/3) nu_n at the given y.
 
     Evaluation is by cubic interpolation of the stored samples; y must lie
@@ -219,9 +199,10 @@ def composite_nu(sol: PainleveSolution, cset: CorrectionSet, eps: float, y):
     """
     if not 0.0 < eps:
         raise ValueError(f"eps must be positive, got {eps}")
+    sol = cset.profile
     sol._require_inside(y)
     y = np.asarray(y, dtype=float)
     total = sol._nu0_spline(y)
-    for n in range(1, cset.order + 1):
-        total = total + eps ** (2.0 * n / 3.0) * cset._splines[n - 1](y)
+    for n, spline in enumerate(cset._splines, start=1):
+        total = total + eps ** (2.0 * n / 3.0) * spline(y)
     return total if total.ndim else float(total)

@@ -19,7 +19,7 @@ from ._io import write_csv
 from .corrections import CorrectionSet, composite_nu, loglog_slope
 from .grids import (Grid1D, TridiagonalOperator, first_difference, to_boundary_layer,
                     uniform_grid)
-from .painleve import ConvergenceError, PainleveSolution, damped_newton, tail_minus
+from .painleve import ConvergenceError, damped_newton, tail_minus
 
 _MAX_ITERATIONS = 60
 _NEGATIVE_SLACK = 1e-12
@@ -92,27 +92,23 @@ def _residual(eta, r, h, eps, d):
 
 def solve_ground_state(
     eps: float,
-    dimension: int,
+    cset: CorrectionSet,
     tol: float = 1e-8,
     r_max: float = 2.5,
     nodes_per_layer: int = 40,
-    *,
-    painleve_sol: PainleveSolution,
-    correction_set: CorrectionSet,
 ) -> GroundState:
     """Damped-Newton solve for the positive radial profile, seeded with the composite.
 
-    The grid is ``default_grid`` on [0, max(r_max, 2, 1 + 6 eps^(2/3))], so it
-    reaches past the decay region beyond r = 1; the profile vanishes at its
-    end.  The initial guess is the composite approximation of
-    ``painleve_sol`` and ``correction_set``; each Newton step solves with
+    The dimension is that of ``cset``.  The grid is ``default_grid`` on
+    [0, max(r_max, 2, 1 + 6 eps^(2/3))], so it reaches past the decay region
+    beyond r = 1; the profile vanishes at its end.  The initial guess is the
+    composite approximation of ``cset``; each Newton step solves with
     ``trap_operator``, the operator L+ at the iterate.  A positive state
     exists only for eps * dimension < 1; other pairs are a ValueError.
     """
+    dimension = cset.dimension
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps must lie in (0, 0.5], got {eps}")
-    if dimension not in (1, 2, 3):
-        raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
     if eps * dimension >= 1.0:
         raise ValueError(
             f"no positive ground state for eps * dimension >= 1, got eps={eps:g}, "
@@ -129,7 +125,7 @@ def solve_ground_state(
             "need at least 20 nodes per layer width"
         )
 
-    eta0 = composite_eta(painleve_sol, correction_set, eps, r[:-1])
+    eta0 = composite_eta(cset, eps, r[:-1])
     eta, rnorm, iterations = damped_newton(
         lambda eta: _residual(eta, r, h, eps, dimension),
         lambda eta: trap_operator(eps, dimension, grid, eta),
@@ -175,12 +171,7 @@ def energy(gs: GroundState) -> float:
     return energy_of(gs.eps, gs.dimension, gs.grid, gs.eta)
 
 
-def composite_eta(
-    sol: PainleveSolution,
-    cset: CorrectionSet,
-    eps: float,
-    x,
-) -> np.ndarray:
+def composite_eta(cset: CorrectionSet, eps: float, x) -> np.ndarray:
     """Composite approximation eps^(1/3) sum eps^(2n/3) nu_n((1 - x^2) / eps^(2/3)).
 
     Points mapping left of the profile grid continue with the decaying tail of
@@ -190,6 +181,7 @@ def composite_eta(
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = to_boundary_layer(x, eps)
+    sol = cset.profile
     if np.any(y > sol.grid.b):
         raise ValueError(
             f"layer coordinate reaches y = {y.max():.2f} beyond the profile grid; "
@@ -198,7 +190,7 @@ def composite_eta(
     out = np.empty_like(y)
     inside = y >= sol.grid.a
     if np.any(inside):
-        out[inside] = composite_nu(sol, cset, eps, y[inside])
+        out[inside] = composite_nu(cset, eps, y[inside])
     if np.any(~inside):
         out[~inside] = tail_minus(y[~inside])
     out *= eps ** (1.0 / 3.0)
@@ -220,9 +212,7 @@ class RemainderTable:
         write_csv(path, ["eps", "err", "order"], [self.eps, self.err, self.pair_order])
 
 
-def remainder_study(
-    sol: PainleveSolution, cset: CorrectionSet, eps_list, dimension: int
-) -> RemainderTable:
+def remainder_study(cset: CorrectionSet, eps_list) -> RemainderTable:
     """Measure sup |eta_eps - composite| and its empirical order in eps.
 
     Each ground state is seeded with the composite itself, so the Newton solve
@@ -233,21 +223,19 @@ def remainder_study(
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     if eps_arr.size < 2:
         raise ValueError("remainder study needs at least two eps values")
-    if np.unique(eps_arr).size < eps_arr.size:
+    if np.any(eps_arr[1:] == eps_arr[:-1]):
         raise ValueError(f"remainder study needs distinct eps values, got {eps_list}")
     errs = []
     for eps in eps_arr:
-        gs = solve_ground_state(
-            eps, dimension, tol=1e-10, nodes_per_layer=80, painleve_sol=sol, correction_set=cset
-        )
-        comp = composite_eta(sol, cset, eps, gs.grid.nodes)
+        gs = solve_ground_state(eps, cset, tol=1e-10, nodes_per_layer=80)
+        comp = composite_eta(cset, eps, gs.grid.nodes)
         errs.append(float(np.abs(gs.eta - comp).max()))
     errs = np.asarray(errs)
     pair = np.full(eps_arr.size, np.nan)
     pair[1:] = np.log(errs[:-1] / errs[1:]) / np.log(eps_arr[:-1] / eps_arr[1:])
     fit = loglog_slope(eps_arr, errs)
     return RemainderTable(
-        dimension=dimension,
+        dimension=cset.dimension,
         order=cset.order,
         eps=eps_arr,
         err=errs,

@@ -192,7 +192,6 @@ class ScalingTable:
 
 
 def scaling_study(
-    sol: PainleveSolution,
     cset: CorrectionSet,
     eps_list,
     mu,
@@ -204,14 +203,14 @@ def scaling_study(
 
     Ground states are seeded with the composite approximation and solved one
     eps at a time in descending order.  ``mu`` holds the smallest M0
-    eigenvalues mu_1, mu_2, ... of ``sol``, at least n_pairs of them.
+    eigenvalues mu_1, mu_2, ... of ``cset.profile``, at least n_pairs of them.
     """
     if cset.dimension != 1:
         raise ValueError(f"scaling study needs d=1 corrections, got d={cset.dimension}")
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     if eps_arr.size == 0:
         raise ValueError("empty eps list")
-    if np.unique(eps_arr).size < eps_arr.size:
+    if np.any(eps_arr[1:] == eps_arr[:-1]):
         raise ValueError(f"scaling study needs distinct eps values, got {eps_list}")
     if len(mu) < n_pairs:
         raise ValueError(f"mu holds {len(mu)} M0 eigenvalues, need n_pairs = {n_pairs}")
@@ -219,10 +218,7 @@ def scaling_study(
     rows_eps, rows_n = [], []
     l_odd, l_even, s_odd, s_even, mus, gaps = [], [], [], [], [], []
     for eps in eps_arr:
-        gs = solve_ground_state(
-            eps, 1, nodes_per_layer=nodes_per_layer, tol=gs_tol,
-            painleve_sol=sol, correction_set=cset,
-        )
+        gs = solve_ground_state(eps, cset, nodes_per_layer=nodes_per_layer, tol=gs_tol)
         lam_n = eig_smallest(
             assemble_Lplus(gs, "Neumann"), n_pairs, label="LplusNeumann"
         ).eigenvalues

@@ -36,8 +36,8 @@ def m0_report(sol):
 
 
 @pytest.fixture(scope="session")
-def gs1_eps01(sol, cset1):
-    return solve_ground_state(0.1, 1, painleve_sol=sol, correction_set=cset1)
+def gs1_eps01(cset1):
+    return solve_ground_state(0.1, cset1)
 
 
 @pytest.fixture(scope="session")

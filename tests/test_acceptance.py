@@ -32,7 +32,7 @@ from tfpainleve import (
     uniform_grid,
     w0_min,
 )
-from tfpainleve.corrections import loglog_slope
+from tfpainleve.corrections import TAIL_EXPONENTS, loglog_slope
 
 EPS_LIST = (0.1, 0.05, 0.025)
 
@@ -75,19 +75,20 @@ def test_criterion_04_correction_residuals_and_tail_exponents(sol, cset1, cset2,
     mask = (y >= lo) & (y <= up)
     for cset in (cset1, cset2, cset3):
         for n in (1, 2):
-            v = cset.term(n)
-            residual = -4.0 * second_difference(v, sol.grid) + sol.w0 * v - cset.forcing(n)
+            v = cset.terms[n - 1]
+            residual = -4.0 * second_difference(v, sol.grid) + sol.w0 * v - cset.forcings[n - 1]
             assert np.abs(residual[1:-1]).max() <= 1e-8, (cset.dimension, n)
             slope = loglog_slope(y[mask], v[mask])
-            assert abs(slope - (cset.beta - 2.0 * n)) <= 0.5, (cset.dimension, n)
+            beta = TAIL_EXPONENTS[cset.dimension]
+            assert abs(slope - (beta - 2.0 * n)) <= 0.5, (cset.dimension, n)
 
 
-def test_criterion_05_tf_limit_bounds_d2(sol, cset2):
+def test_criterion_05_tf_limit_bounds_d2(cset2):
     bulk_points = np.linspace(0.0, 0.8, 401)
     ratios = []
     sups = []
     for eps in EPS_LIST:
-        gs = solve_ground_state(eps, 2, painleve_sol=sol, correction_set=cset2)
+        gs = solve_ground_state(eps, cset2)
         r = gs.grid.nodes
         inner = r <= 1.0 - eps ** (1.0 / 3.0)
         tf = thomas_fermi(r[inner])
@@ -101,17 +102,18 @@ def test_criterion_05_tf_limit_bounds_d2(sol, cset2):
     assert abs(order - 2.0) <= 0.3
 
 
-def test_criterion_06_composite_remainder_orders(sol, cset1, cset3):
+def test_criterion_06_composite_remainder_orders(cset1, cset3):
     start = time.perf_counter()
-    table_d1 = remainder_study(sol, cset1, EPS_LIST, 1)
+    table_d1 = remainder_study(cset1, EPS_LIST)
     assert abs(table_d1.fit_order - 7.0 / 3.0) <= 0.3
-    table_d3 = remainder_study(sol, cset3, EPS_LIST, 3)
+    table_d3 = remainder_study(cset3, EPS_LIST)
+    assert (table_d1.dimension, table_d3.dimension) == (1, 3)
     assert table_d3.fit_order >= 5.0 / 3.0 - 0.3
     assert time.perf_counter() - start < 120.0
 
 
-def test_criterion_07_eigenvalue_scaling_law(sol, cset1, m0_report):
-    table = scaling_study(sol, cset1, EPS_LIST, m0_report.eigenvalues, n_pairs=1)
+def test_criterion_07_eigenvalue_scaling_law(cset1, m0_report):
+    table = scaling_study(cset1, EPS_LIST, m0_report.eigenvalues, n_pairs=1)
     mu1 = float(table.mu[0])
     pick = table.n == 1
     eps = table.eps[pick]

@@ -38,25 +38,25 @@ def test_ground_state_invariants(gs1_eps01):
     assert gs.eta[-1] == 0.0
 
 
-def test_ground_state_energy_ordering(sol, cset1):
+def test_ground_state_energy_ordering(cset1):
     e_tf = -8.0 / 15.0
-    e10 = energy(solve_ground_state(0.1, 1, painleve_sol=sol, correction_set=cset1))
-    e05 = energy(solve_ground_state(0.05, 1, painleve_sol=sol, correction_set=cset1))
+    e10 = energy(solve_ground_state(0.1, cset1))
+    e05 = energy(solve_ground_state(0.05, cset1))
     assert e_tf < e05 < e10 < 0.0
 
 
-def test_ground_state_stable_under_grid_halving(sol, cset1):
-    g40 = solve_ground_state(0.1, 1, painleve_sol=sol, correction_set=cset1, nodes_per_layer=40)
-    g80 = solve_ground_state(0.1, 1, painleve_sol=sol, correction_set=cset1, nodes_per_layer=80)
+def test_ground_state_stable_under_grid_halving(cset1):
+    g40 = solve_ground_state(0.1, cset1, nodes_per_layer=40)
+    g80 = solve_ground_state(0.1, cset1, nodes_per_layer=80)
     diff = np.abs(CubicSpline(g80.grid.nodes, g80.eta)(g40.grid.nodes) - g40.eta).max()
     assert diff <= 2e-5
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
-def test_exponential_envelope_beyond_the_bulk(sol, cset2, eps):
+def test_exponential_envelope_beyond_the_bulk(cset2, eps):
     # eta <= C eps^(1/3) exp((1 - r^2) / (4 eps^(2/3))) for r >= 1, with a
     # single moderate C; the ratio peaks near r = 1 where it approaches nu0(0)
-    gs = solve_ground_state(eps, 2, painleve_sol=sol, correction_set=cset2)
+    gs = solve_ground_state(eps, cset2)
     r = gs.grid.nodes
     mask = r >= 1.0
     envelope = eps ** (1.0 / 3.0) * np.exp((1.0 - r[mask] ** 2) / (4.0 * eps ** (2.0 / 3.0)))
@@ -65,9 +65,9 @@ def test_exponential_envelope_beyond_the_bulk(sol, cset2, eps):
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
-def test_bulk_depletion_bound(sol, cset2, eps):
+def test_bulk_depletion_bound(cset2, eps):
     # 0 <= TF - eta <= C eps^(1/3) TF for r <= 1 - eps^(1/3)
-    gs = solve_ground_state(eps, 2, painleve_sol=sol, correction_set=cset2)
+    gs = solve_ground_state(eps, cset2)
     r = gs.grid.nodes
     mask = r <= 1.0 - eps ** (1.0 / 3.0)
     diff = thomas_fermi(r[mask]) - gs.eta[mask]
@@ -75,13 +75,13 @@ def test_bulk_depletion_bound(sol, cset2, eps):
     assert np.max(diff / (eps ** (1.0 / 3.0) * thomas_fermi(r[mask]))) <= 0.2
 
 
-def test_interior_convergence_rate(sol, cset2):
+def test_interior_convergence_rate(cset2):
     # sup over [0, 0.8] of |eta - TF| shrinks at an empirical order near 2;
     # the coarsest pair is still pre-asymptotic, so the finest pair decides
     sups = []
     eps_list = (0.1, 0.05, 0.025)
     for eps in eps_list:
-        gs = solve_ground_state(eps, 2, painleve_sol=sol, correction_set=cset2)
+        gs = solve_ground_state(eps, cset2)
         mask = gs.grid.nodes <= 0.8
         sups.append(np.abs(gs.eta[mask] - thomas_fermi(gs.grid.nodes[mask])).max())
     assert sups[0] > sups[1] > sups[2]
@@ -91,10 +91,9 @@ def test_interior_convergence_rate(sol, cset2):
 
 def test_composite_seed_beats_smoothed_guess_error(sol, cset1):
     order1 = build_corrections(sol, 1, order=1)
-    gs = solve_ground_state(0.05, 1, painleve_sol=sol, correction_set=cset1,
-                            nodes_per_layer=80, tol=1e-10)
-    err2 = np.abs(gs.eta - composite_eta(sol, cset1, 0.05, gs.grid.nodes)).max()
-    err1 = np.abs(gs.eta - composite_eta(sol, order1, 0.05, gs.grid.nodes)).max()
+    gs = solve_ground_state(0.05, cset1, nodes_per_layer=80, tol=1e-10)
+    err2 = np.abs(gs.eta - composite_eta(cset1, 0.05, gs.grid.nodes)).max()
+    err1 = np.abs(gs.eta - composite_eta(order1, 0.05, gs.grid.nodes)).max()
     assert err2 < err1
 
 
@@ -103,36 +102,37 @@ def test_composite_eta_pieces(sol, cset1):
     r = np.array([0.9, 1.0, 1.5, 2.3])
     y = to_boundary_layer(r, eps)
     inside = y >= sol.grid.a
-    vals = composite_eta(sol, cset1, eps, r)
+    vals = composite_eta(cset1, eps, r)
     expect = np.where(
         inside,
-        eps ** (1.0 / 3.0) * composite_nu(sol, cset1, eps, np.clip(y, sol.grid.a, None)),
+        eps ** (1.0 / 3.0) * composite_nu(cset1, eps, np.clip(y, sol.grid.a, None)),
         eps ** (1.0 / 3.0) * tail_minus(np.minimum(y, -1.0)),
     )
     np.testing.assert_allclose(vals, expect, rtol=1e-12, atol=1e-300)
-    beyond = composite_eta(sol, cset1, eps, 2.42)
+    beyond = composite_eta(cset1, eps, 2.42)
     assert beyond == pytest.approx(eps ** (1.0 / 3.0) * tail_minus(to_boundary_layer(2.42, eps)))
 
 
-def test_composite_eta_rejects_coordinates_beyond_profile_grid(sol, cset1):
+def test_composite_eta_rejects_coordinates_beyond_profile_grid(cset1):
     with pytest.raises(ValueError, match="beyond the profile grid"):
-        composite_eta(sol, cset1, 0.003, 0.0)
+        composite_eta(cset1, 0.003, 0.0)
 
 
-def test_solve_validation(sol, cset1):
-    seeds = {"painleve_sol": sol, "correction_set": cset1}
+def test_solve_validation(cset1, cset3):
     with pytest.raises(ValueError):
-        solve_ground_state(0.0, 1, **seeds)
+        solve_ground_state(0.0, cset1)
     with pytest.raises(ValueError):
-        solve_ground_state(0.6, 1, **seeds)
-    with pytest.raises(ValueError):
-        solve_ground_state(0.1, 4, **seeds)
+        solve_ground_state(0.6, cset1)
     # too-coarse grid for the layer width
     with pytest.raises(ValueError, match="too coarse"):
-        solve_ground_state(0.1, 1, nodes_per_layer=5, **seeds)
+        solve_ground_state(0.1, cset1, nodes_per_layer=5)
     # no positive ground state exists for eps * dimension >= 1
     with pytest.raises(ValueError, match="eps \\* dimension"):
-        solve_ground_state(1.0 / 3.0, 3, **seeds)
+        solve_ground_state(1.0 / 3.0, cset3)
+
+
+def test_ground_state_takes_its_dimension_from_the_correction_set(cset3):
+    assert solve_ground_state(0.1, cset3).dimension == 3
 
 
 def test_default_grid_resolves_layer():
@@ -141,14 +141,14 @@ def test_default_grid_resolves_layer():
     assert grid.spacing <= 0.1 ** (2.0 / 3.0) / 20.0
 
 
-def test_unreachable_tolerance_raises_naming_eps(sol, cset1):
+def test_unreachable_tolerance_raises_naming_eps(cset1):
     # residuals stall at roundoff far above 1e-30; the failure names the solve
     with pytest.raises(ConvergenceError, match="eps=0.1"):
-        solve_ground_state(0.1, 1, tol=1e-30, painleve_sol=sol, correction_set=cset1)
+        solve_ground_state(0.1, cset1, tol=1e-30)
 
 
-def test_remainder_table_fields(sol, cset1):
-    table = remainder_study(sol, cset1, (0.1, 0.05), 1)
+def test_remainder_table_fields(cset1):
+    table = remainder_study(cset1, (0.1, 0.05))
     assert table.dimension == 1 and table.order == 2
     np.testing.assert_allclose(table.eps, [0.1, 0.05])
     assert np.isnan(table.pair_order[0])
@@ -157,16 +157,16 @@ def test_remainder_table_fields(sol, cset1):
     assert table.err[1] < table.err[0]
 
 
-def test_remainder_study_needs_two_eps(sol, cset1):
+def test_remainder_study_needs_two_eps(cset1):
     with pytest.raises(ValueError):
-        remainder_study(sol, cset1, (0.1,), 1)
+        remainder_study(cset1, (0.1,))
     with pytest.raises(ValueError, match="distinct"):
-        remainder_study(sol, cset1, (0.1, 0.1), 1)
+        remainder_study(cset1, (0.1, 0.1))
 
 
-def test_ground_state_csv(gs1_eps01, sol, cset1, tmp_path):
+def test_ground_state_csv(gs1_eps01, cset1, tmp_path):
     path = tmp_path / "gs.csv"
-    comp = composite_eta(sol, cset1, 0.1, gs1_eps01.grid.nodes)
+    comp = composite_eta(cset1, 0.1, gs1_eps01.grid.nodes)
     gs1_eps01.to_csv(path, composite=comp)
     header = path.read_text().splitlines()[0]
     assert header == "r,eta,composite,abs_diff"

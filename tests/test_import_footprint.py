@@ -18,20 +18,38 @@ _HEAVY = ("scipy.interpolate", "scipy.optimize", "scipy.special")
 _LINALG_INIT = ("scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma", "numpy.random")
 
 
-def test_cli_import_loads_no_heavy_scipy_module():
+def _env():
     src = str(Path(tfpainleve.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_cli_import_loads_no_heavy_scipy_module():
     # scipy.linalg imported afterwards, as the test oracles do, must still work
     code = (
         "import sys, tfpainleve.cli; print(' '.join(sorted(sys.modules)))\n"
         "import scipy.linalg; scipy.linalg.lapack.dgtsv"
     )
     loaded = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True
     ).stdout.split()
     assert [m for m in _LINALG_INIT if m in loaded] == []
     assert [m for m in _HEAVY if m in loaded] == []
+
+
+def test_spectrum_run_loads_no_numpy_ma(tmp_path):
+    # numpy.unique reads numpy.ma.is_masked, so a run must not reach it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.1, 0.05\nn_pairs = 1\n")
+    code = (
+        "import sys\nfrom tfpainleve import cli\n"
+        f"assert cli.main(['spectrum', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "numpy.ma" not in loaded
 
 
 def test_no_source_file_names_scipy_interpolate():

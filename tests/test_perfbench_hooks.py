@@ -47,7 +47,7 @@ def test_counts_read_what_real_results_carry(sol, cset1, gs1_eps01, tmp_path):
     assert counts("solve_ground_state", gs1_eps01) == {
         "newton_iters": gs1_eps01.newton_iterations, "unknowns": gs1_eps01.grid.n,
     }
-    table = tfpainleve.scaling_study(sol, cset1, (0.1,), n_pairs=1, mu=(2.41,))
+    table = tfpainleve.scaling_study(cset1, (0.1,), n_pairs=1, mu=(2.41,))
     assert counts("scaling_study", table) == {
         "gap_nonpositive": int(np.count_nonzero(table.pair_gap <= 0.0))
     }

@@ -121,8 +121,8 @@ def test_lplus_is_the_symmetrized_ground_state_jacobian(gs1_eps01):
     np.testing.assert_array_equal(oracles.dense(assemble_Lplus(gs, "Dirichlet")), neumann[1:, 1:])
 
 
-def test_lplus_assembly_validation(sol, cset2):
-    gs2 = solve_ground_state(0.1, 2, painleve_sol=sol, correction_set=cset2)
+def test_lplus_assembly_validation(cset2):
+    gs2 = solve_ground_state(0.1, cset2)
     with pytest.raises(ValueError, match="d=1"):
         assemble_Lplus(gs2, "Neumann")
 
@@ -201,9 +201,9 @@ def test_decay_check_validation(m0_report, sol):
         decay_check(renamed, sol)
 
 
-def test_scaling_table_layout(sol, cset1, m0_report):
+def test_scaling_table_layout(cset1, m0_report):
     table = scaling_study(
-        sol, cset1, (0.1, 0.05), m0_report.eigenvalues, n_pairs=2, nodes_per_layer=24
+        cset1, (0.1, 0.05), m0_report.eigenvalues, n_pairs=2, nodes_per_layer=24
     )
     np.testing.assert_allclose(table.eps, [0.1, 0.1, 0.05, 0.05])
     np.testing.assert_allclose(table.n, [1.0, 2.0, 1.0, 2.0])
@@ -216,21 +216,21 @@ def test_scaling_table_layout(sol, cset1, m0_report):
     assert np.all(table.lambda_odd <= table.lambda_even + 1e-12)
 
 
-def test_scaling_table_csv(sol, cset1, m0_report, tmp_path):
-    table = scaling_study(sol, cset1, (0.1,), m0_report.eigenvalues, n_pairs=1, nodes_per_layer=24)
+def test_scaling_table_csv(cset1, m0_report, tmp_path):
+    table = scaling_study(cset1, (0.1,), m0_report.eigenvalues, n_pairs=1, nodes_per_layer=24)
     path = tmp_path / "scaling.csv"
     table.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "eps,n,lambda_odd,lambda_even,scaled_odd,scaled_even,mu_n,pair_gap"
 
 
-def test_scaling_study_validation(sol, cset1, cset2, m0_report):
+def test_scaling_study_validation(cset1, cset2, m0_report):
     mu = m0_report.eigenvalues
     with pytest.raises(ValueError, match="d=1"):
-        scaling_study(sol, cset2, (0.1,), mu)
+        scaling_study(cset2, (0.1,), mu)
     with pytest.raises(ValueError, match="empty"):
-        scaling_study(sol, cset1, (), mu)
+        scaling_study(cset1, (), mu)
     with pytest.raises(ValueError, match="distinct"):
-        scaling_study(sol, cset1, (0.1, 0.05, 0.1), mu)
+        scaling_study(cset1, (0.1, 0.05, 0.1), mu)
     with pytest.raises(ValueError, match="n_pairs"):
-        scaling_study(sol, cset1, (0.1,), [2.41], n_pairs=2)
+        scaling_study(cset1, (0.1,), [2.41], n_pairs=2)
