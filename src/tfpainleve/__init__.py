@@ -50,12 +50,10 @@ from .groundstate import (
 from .spectrum import (
     SpectrumReport,
     ScalingTable,
-    DecayCertificate,
     assemble_M0,
     assemble_Lplus,
     eig_smallest,
     scaling_study,
-    decay_check,
 )
 from .semiclassics import (
     PotentialProfile,
@@ -98,12 +96,10 @@ __all__ = [
     "remainder_study",
     "SpectrumReport",
     "ScalingTable",
-    "DecayCertificate",
     "assemble_M0",
     "assemble_Lplus",
     "eig_smallest",
     "scaling_study",
-    "decay_check",
     "PotentialProfile",
     "from_function",
     "from_solution",

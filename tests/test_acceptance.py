@@ -12,6 +12,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 import oracles
+from decay import decay_check
 from oracles import thomas_fermi
 from surrogates import simplified
 from tfpainleve import (
@@ -19,7 +20,6 @@ from tfpainleve import (
     assemble_M0,
     bn_coefficients,
     bs_eigenvalue,
-    decay_check,
     eig_smallest,
     from_solution,
     remainder_study,

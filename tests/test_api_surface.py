@@ -5,9 +5,6 @@ from pathlib import Path
 
 import tfpainleve
 
-# decay_check computes criterion 10's certificates, which no CLI command writes
-_TEST_ONLY = {"decay_check"}
-
 
 def _loaded_names():
     names = set()
@@ -24,6 +21,5 @@ def _loaded_names():
 
 def test_every_public_name_is_used_inside_the_package():
     loaded = _loaded_names()
-    unused = sorted(set(tfpainleve.__all__) - loaded - _TEST_ONLY)
+    unused = sorted(set(tfpainleve.__all__) - loaded)
     assert unused == [], f"public names no package module uses: {unused}"
-    assert _TEST_ONLY <= set(tfpainleve.__all__)

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import tfpainleve
 
 _HEAVY = ("scipy.interpolate", "scipy.optimize", "scipy.special")
@@ -37,19 +39,32 @@ def test_cli_import_loads_no_heavy_scipy_module():
     assert [m for m in _HEAVY if m in loaded] == []
 
 
-def test_spectrum_run_loads_no_numpy_ma(tmp_path):
-    # numpy.unique reads numpy.ma.is_masked, so a run must not reach it
+_SMALL_RUNS = {
+    "spectrum": "eps = 0.1, 0.05\nn_pairs = 1\n",
+    "groundstate": "dimension = 3\neps = 0.1\nn_nodes = 2001\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_run_loads_no_numpy_ma(tmp_path, command):
+    # numpy.unique reads numpy.ma.is_masked, so a run must not reach it; past
+    # what parsing the command line loads (gettext's locale lookup), a run
+    # (CSV formatting included) imports nothing
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("eps = 0.1, 0.05\nn_pairs = 1\n")
+    cfg.write_text(_SMALL_RUNS[command])
     code = (
         "import sys\nfrom tfpainleve import cli\n"
-        f"assert cli.main(['spectrum', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
-        "print(' '.join(sorted(sys.modules)))"
+        f"assert cli.main([{command!r}, '--config', {str(tmp_path / 'missing.cfg')!r}]) == 1\n"
+        "parsed = set(sys.modules)\n"
+        f"assert cli.main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+        "print(' '.join(sorted(set(sys.modules) - parsed)))"
     )
-    loaded = subprocess.run(
+    loaded, new = subprocess.run(
         [sys.executable, "-c", code], env=_env(), capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert "numpy.ma" not in loaded
+    ).stdout.split("\n")[:2]
+    assert "numpy.ma" not in loaded.split()
+    assert new.split() == []
 
 
 def test_no_source_file_names_scipy_interpolate():

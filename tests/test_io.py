@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfpainleve._io import _BLOCK, _write_atomic, format_float, write_csv, write_lines
+from tfpainleve._io import _BLOCK, _format_rows, _write_atomic, format_float, write_csv, write_lines
 
 _SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 7,
             1.7976931348623157e308, -1.7976931348623157e308]
@@ -41,7 +41,8 @@ def test_write_csv_validation(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+# row counts on and next to block boundaries while _BLOCK divides 8192
+@pytest.mark.parametrize("n", [0, 1, 8191, 8192, 8193, 16387])
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
 @given(k=st.sampled_from([1, 4]), ints=st.booleans(),
        floats=st.lists(st.floats(), max_size=8),
@@ -49,6 +50,7 @@ def test_write_csv_validation(tmp_path):
        seed=st.integers(0, 2**32 - 1))
 def test_write_csv_bytes_match_per_value_formatting(tmp_path_factory, n, k, ints, floats,
                                                     integers, seed):
+    assert 8192 % _BLOCK == 0
     pool = integers if ints else _SPECIAL + floats
     pick = np.random.default_rng(seed).integers(len(pool), size=(n, k))
     values = np.array(pool, dtype=np.int64 if ints else float)
@@ -63,6 +65,58 @@ def test_write_csv_bytes_match_per_value_formatting(tmp_path_factory, n, k, ints
     # summary.txt values and CSV values go through the same conversion
     for v in pool:
         assert format_float(v) == "%.16e" % v
+
+
+def _ties():
+    # q / 2^(17-E) with q odd and 10^E <= q / 2^(17-E) < 10^(E+1) has 18
+    # significant digits, the last a 5: an exact tie for 17-digit rounding
+    out = []
+    for e in range(-4, 16):
+        lo = int(10.0**e * 2.0 ** (17 - e)) + 1
+        out += [q / 2.0 ** (17 - e) for q in range(lo | 1, lo + 200, 2)]
+    return np.array(out)
+
+
+def _with_neighbours(x):
+    x = np.asarray(x)
+    return np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+
+
+_EDGE_VALUES = {
+    # log10 rounds to k next to 10^k, so the exponent must come from the
+    # unrounded scaled value: 1e-280 is 9.9999999999999996e-281
+    "powers": _with_neighbours([float(f"1e{k}") for k in range(-300, 301)]),
+    # 17-digit rounding that carries into the next power of ten
+    "carry": [float(f"9.99999999999999999e{k}") for k in range(-300, 301)]
+    + [float(f"9.9999999999999995e{k}") for k in range(-300, 301)],
+    "exponents": [float(f"{m}e{k}") for m in ("1", "1.5", "9.87654321") for k in range(-330, 309)],
+    "subnormals": [5e-324, 1e-323, 2.2250738585072014e-308 / 7,
+                   np.nextafter(2.2250738585072014e-308, 0.0)],
+    "specials": [0.0, np.nan, np.inf, 1.7976931348623157e308, 1e270, 1e-270],
+    "ties": _with_neighbours(_ties()),
+    # scaled fractions at or next to an integer, where the floor may be one off
+    "integers": _with_neighbours(np.concatenate([
+        np.arange(1.0, 3000.0), np.arange(1.0, 3000.0) / 1024, 2.0 ** np.arange(-890, 890)])),
+}
+
+
+def _check_per_value(values):
+    for start in range(0, values.size, 2**16):
+        chunk = values[start:start + 2**16]
+        # lists of lines, so that a failure names the first value that differs
+        expected = [*("%.16e" % v for v in chunk.tolist()), ""]
+        assert _format_rows(chunk[:, None]).split("\n") == expected
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_VALUES))
+def test_format_rows_matches_per_value_formatting_on_edge_values(name):
+    values = np.asarray(_EDGE_VALUES[name], dtype=float)
+    _check_per_value(np.concatenate([values, -values]))
+
+
+def test_format_rows_matches_per_value_formatting_on_random_bit_patterns():
+    bits = np.random.default_rng(15).integers(0, 2**64, size=2**20, dtype=np.uint64)
+    _check_per_value(bits.view(np.float64))
 
 
 def test_failed_write_leaves_no_temp_file(tmp_path):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 import oracles
+from decay import decay_check
 import tfpainleve.spectrum as spectrum_module
 from tfpainleve import (
     ConvergenceError,
     SpectrumReport,
     assemble_Lplus,
     assemble_M0,
-    decay_check,
     eig_smallest,
     scaling_study,
     solve_ground_state,
