@@ -306,18 +306,14 @@ def _bs_table(sol, levels, mu, out, stages):
 
     Runs the quadrature as stage "bs"; returns (mu_bs, mu_m0, relative error).
     """
-
-    def table():
-        profile = from_solution(sol)
-        return np.array([bs_eigenvalue(profile, n) for n in levels])
-
-    mu_bs = stages.run("bs", table)
-    mu_m0 = np.array([mu[n - 1] for n in levels])
+    mu_bs = stages.run("bs", lambda: bs_eigenvalue(from_solution(sol), levels))
+    ns = np.asarray(levels)
+    mu_m0 = mu[ns - 1]
     rel = np.abs(mu_bs - mu_m0) / mu_m0
     write_csv(
         os.path.join(out, "bs.csv"),
         ["n", "mu_bs", "mu_m0", "rel_err"],
-        [np.asarray(levels, dtype=float), mu_bs, mu_m0, rel],
+        [ns.astype(float), mu_bs, mu_m0, rel],
     )
     return mu_bs, mu_m0, rel
 

@@ -1,19 +1,12 @@
 """Bohr-Sommerfeld quadrature for single-well potentials.
 
-The quantization rule int sqrt(mu - W(y)) dy = pi (2n - 1) over the classically
-allowed region predicts the large-n eigenvalues of -4 d^2/dy^2 + W.  The action
-integral is split at the well bottom and each monotone branch is computed with
-the substitution mu - W = (T sin phi)^2 and one integration by parts, which
-remove the square-root turning point singularity and leave the smooth,
-derivative-free integrand T cos(phi) |y(phi) - y_well| for Gauss-Legendre
-quadrature.
-
-One sampling of W serves both the certification and the root solves, and
-nothing needs W': the scan on which ``from_function`` certifies the well is
-kept on the profile, each branch's bracket table is built from it once, and
-``_branch_positions`` brackets every quadrature node's position in that
-table, then solves W(y) = target by vectorized secant steps kept inside the
-bracket by midpoint fallbacks.
+The quantization rule int sqrt(mu - W(y)) dy = pi (2n - 1) predicts the large-n
+eigenvalues of -4 d^2/dy^2 + W.  A substitution and one integration by parts
+turn the action into a smooth, derivative-free integral for Gauss-Legendre
+quadrature over the positions where W takes given values.  Both root problems,
+W(y) = target at the quadrature nodes and action(mu) = pi (2n - 1) at the
+levels, run on one vectorized safeguarded secant: the scan that certifies the
+well brackets every node, and the top of the certified range every level.
 """
 
 from __future__ import annotations
@@ -114,21 +107,44 @@ def _bracket_table(W: PotentialProfile, side: int):
     return ys, ws, np.sqrt(np.maximum.accumulate(ws) - W.well_value)
 
 
-def _branch_positions(W: PotentialProfile, targets, side: int):
-    """Solve W(y) = target on one monotone branch by vectorized safeguarded secant.
+def _secant(f, y, a, b, y_prev, r_prev, tol, what: str):
+    """Solve f = 0 for every entry of the start y by vectorized safeguarded secant.
 
-    ``side`` is -1 for the branch left of the well bottom and +1 for the one
-    right of it; targets must lie between W.well_value and W at that end of
-    the certified range, so the side's ``_bracket_table`` brackets each one.
-    The start interpolates sqrt(W - W.well_value) linearly over the bracket:
-    that root is nearly linear in y at the well bottom, where W is quadratic.
-    Each secant step runs through the node's previous evaluation, at first
-    the bracket's upper end, whose W the scan holds; a step that leaves the
-    bracket falls back to its midpoint.  A node is done when |W(y) - target|
-    <= 4 eps_mach max(|target|, |W.well_value|), the largest |W| between the
-    well and the root, or when its bracket has shrunk to rounding; a
-    step-size test would never fire near the bottom, where W' -> 0.  Nodes
-    still open after ``_ROOT_ROUNDS`` rounds raise ``ConvergenceError``.
+    ``f(y_live, live)`` gives the residuals of the entries ``live``; f(a) <= 0
+    <= f(b) on each bracket (a, b in either order), and a, b, the previous
+    point (y_prev, r_prev) and tol broadcast against y.  A step through the
+    previous point that leaves the bracket falls back to its midpoint.  An
+    entry is done when |f(y)| <= tol or its bracket has shrunk to rounding;
+    entries still open after ``_ROOT_ROUNDS`` rounds raise ConvergenceError.
+    """
+    a, b, y_prev, r_prev, tol = (np.full(y.shape, v, float) for v in (a, b, y_prev, r_prev, tol))
+    live = np.arange(y.size)
+    for _ in range(_ROOT_ROUNDS):
+        yl = y[live]
+        r = f(yl, live)
+        al = np.where(r < 0.0, yl, a[live])
+        bl = np.where(r < 0.0, b[live], yl)
+        a[live], b[live] = al, bl
+        keep = (np.abs(r) > tol[live]) & (np.abs(bl - al) > _EPS * (np.abs(al) + np.abs(bl)))
+        live, yl, r, al, bl = live[keep], yl[keep], r[keep], al[keep], bl[keep]
+        if live.size == 0:
+            return y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = yl - r * (yl - y_prev[live]) / (r - r_prev[live])
+        y_prev[live], r_prev[live] = yl, r
+        y[live] = np.where((step - al) * (step - bl) < 0.0, step, 0.5 * (al + bl))
+    raise ConvergenceError(f"{what} left {live.size} of {y.size} open after {_ROOT_ROUNDS} rounds")
+
+
+def _branch_positions(W: PotentialProfile, targets, side: int):
+    """Solve W(y) = target on the branch left (side -1) or right (+1) of the well bottom.
+
+    Each target lies between W.well_value and W at that end of the certified
+    range, so the side's ``_bracket_table`` brackets it.  The start interpolates
+    sqrt(W - W.well_value), nearly linear in y at the quadratic bottom, and the
+    first step runs through the bracket end that the scan evaluated.  The
+    residual tolerance scales with |W|, since a step-size test would never
+    fire near the bottom, where W' -> 0.
     """
     targets = np.asarray(targets, dtype=float)
     ys, ws, scan_root = W._brackets[side]
@@ -141,113 +157,81 @@ def _branch_positions(W: PotentialProfile, targets, side: int):
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = (root - scan_root[k - 1]) / (scan_root[k] - scan_root[k - 1])
     y = np.where(np.isfinite(frac), a + np.clip(frac, 0.0, 1.0) * (b - a), 0.5 * (a + b))
-    y_prev, r_prev = ys[k], ws[k] - targets
-
-    live = np.arange(targets.size)
-    for _ in range(_ROOT_ROUNDS):
-        yl = y[live]
-        r = np.asarray(W(yl), dtype=float) - targets[live]
-        below = r < 0.0
-        al = np.where(below, yl, a[live])
-        bl = np.where(below, b[live], yl)
-        a[live], b[live] = al, bl
-        done = (np.abs(r) <= tol[live]) | (np.abs(bl - al) <= _EPS * (np.abs(al) + np.abs(bl)))
-        keep = ~done
-        live, yl, r, al, bl = live[keep], yl[keep], r[keep], al[keep], bl[keep]
-        if live.size == 0:
-            return y
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = yl - r * (yl - y_prev[live]) / (r - r_prev[live])
-        y_prev[live], r_prev[live] = yl, r
-        inside = (step - al) * (step - bl) < 0.0
-        y[live] = np.where(inside, step, 0.5 * (al + bl))
     name = "right" if side > 0 else "left"
-    raise ConvergenceError(
-        f"root solve on the {name} branch [{min(ys[0], ys[-1]):g}, {max(ys[0], ys[-1]):g}] "
-        f"left {live.size} of {targets.size} targets open after {_ROOT_ROUNDS} rounds"
+    return _secant(
+        lambda yl, live: np.asarray(W(yl), dtype=float) - targets[live],
+        y, a, b, b, ws[k] - targets, tol,
+        f"root solve on the {name} branch [{min(ys[0], ys[-1]):g}, {max(ys[0], ys[-1]):g}]",
     )
 
 
 @lru_cache(maxsize=1)
 def _phase_rule():
-    """Gauss-Legendre nodes and weights on [0, pi/2], built once per process."""
-    xg, wg = np.polynomial.legendre.leggauss(_GL_NODES)
-    phi = 0.25 * math.pi * (xg + 1.0)
-    weights = 0.25 * math.pi * wg
+    """Gauss-Legendre nodes and weights on [0, pi/2], built once per process.
+
+    Newton steps on the Legendre recurrence from cosine estimates of the roots;
+    numpy's ``leggauss`` would import numpy.polynomial for these 64 numbers.
+    """
+    x = np.cos(math.pi * (np.arange(_GL_NODES) + 0.75) / (_GL_NODES + 0.5))
+    for _ in range(5):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, _GL_NODES + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = _GL_NODES * (x * p1 - p0) / (x * x - 1.0)
+        x = x - p1 / dp
+    phi = 0.25 * math.pi * (x + 1.0)
+    weights = 0.5 * math.pi / ((1.0 - x * x) * dp * dp)
     phi.setflags(write=False)
     weights.setflags(write=False)
     return phi, weights
 
 
-def action(W: PotentialProfile, mu: float) -> float:
-    """Classically allowed action int sqrt(mu - W) dy between the turning points.
+def action(W: PotentialProfile, mu):
+    """Classically allowed action int sqrt(mu - W) dy; scalar mu gives a float.
 
-    Split at the well bottom; on each branch substitute mu - W = (T sin phi)^2
-    with T^2 = mu - W(bottom), so sqrt(mu - W) dy = T sin(phi) |dy/dphi| dphi
-    with phi = 0 at the turning point and pi/2 at the bottom.  Integrating by
-    parts moves the derivative onto sin(phi), and the boundary terms vanish:
+    All entries of an array mu share one ``_branch_positions`` solve per
+    branch.  With mu - W = (T sin phi)^2 and T^2 = mu - W(bottom), the turning
+    points y_l, y_r lie at phi = 0 and the bottom at phi = pi/2.  Integrating
+    by parts moves the derivative of y(phi) onto sin(phi); the boundary terms
+    vanish, and the well location drops out of the smooth integrand:
 
-        int sqrt(mu - W) dy = T int_0^{pi/2} cos(phi) |y(phi) - y_well| dphi.
-
-    The integrand needs no W' and is smooth at the bottom, where
-    |y - y_well| ~ T cos(phi) / sqrt(W''/2).  An error in y_well enters the
-    two branches with opposite signs and cancels.
+        int sqrt(mu - W) dy = T int_0^{pi/2} cos(phi) (y_r(phi) - y_l(phi)) dphi.
     """
-    if not mu > W.well_value:
-        raise ValueError(f"mu = {mu:g} is not above the well bottom {W.well_value:g}")
+    mu = np.asarray(mu, dtype=float)
+    if (low := ~(mu > W.well_value)).any():
+        raise ValueError(f"mu = {mu[low][0]:g} is not above the well bottom {W.well_value:g}")
     for name, w_end in (("left", W.ws[0]), ("right", W.ws[-1])):
-        if w_end < mu:
-            raise ValueError(f"mu = {mu:g} exceeds the certified range on the {name}")
+        if (high := mu > w_end).any():
+            raise ValueError(f"mu = {mu[high][0]:g} exceeds the certified range on the {name}")
     phi, weights = _phase_rule()
     t2 = mu - W.well_value
-    targets = mu - t2 * np.sin(phi) ** 2
-    total = 0.0
-    for side in (-1, 1):
-        y = _branch_positions(W, targets, side)
-        total += float(weights @ (np.cos(phi) * np.abs(y - W.well_location)))
-    return math.sqrt(t2) * total
+    targets = (mu[..., None] - t2[..., None] * np.sin(phi) ** 2).ravel()
+    y_l, y_r = (_branch_positions(W, targets, side).reshape(-1, phi.size) for side in (-1, 1))
+    out = np.sqrt(t2) * ((np.cos(phi) * (y_r - y_l)) @ weights).reshape(mu.shape)
+    return out if out.ndim else float(out)
 
 
-def bs_eigenvalue(W: PotentialProfile, n: int) -> float:
-    """Energy mu_n solving action(W, mu) = pi (2n - 1)."""
-    if n < 1:
-        raise ValueError(f"level index must be >= 1, got {n}")
-    target = math.pi * (2 * n - 1)
+def bs_eigenvalue(W: PotentialProfile, n):
+    """Energies mu_n solving action(W, mu) = pi (2n - 1); scalar n gives a float.
 
-    # the action vanishes at the well bottom; double the span until it passes the target
-    lo, f_lo = W.well_value, -target
-    span = 1.0
-    try:
-        while (f_hi := action(W, W.well_value + span) - target) < 0.0:
-            lo, f_lo = W.well_value + span, f_hi
-            span *= 2.0
-            if span > 1e6:
-                raise ConvergenceError("Bohr-Sommerfeld bracket failure: action never reaches target")
-    except ValueError as exc:
-        raise ConvergenceError(f"Bohr-Sommerfeld bracket failure: {exc}") from exc
-    hi = W.well_value + span
-
-    # regula falsi with the Illinois step (an end kept twice in a row has its
-    # f halved), falling back to bisection when the candidate leaves the bracket
-    mu = 0.5 * (lo + hi)
-    kept = None
-    for _ in range(200):
-        if f_hi != f_lo:
-            mu = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < mu < hi:
-            mu = 0.5 * (lo + hi)
-        f_mu = action(W, mu) - target
-        if abs(f_mu) <= _ACTION_TOL:
-            return mu
-        if f_mu > 0.0:
-            hi, f_hi = mu, f_mu
-            if kept == "lo":
-                f_lo *= 0.5
-            kept = "lo"
-        else:
-            lo, f_lo = mu, f_mu
-            if kept == "hi":
-                f_hi *= 0.5
-            kept = "hi"
-    raise ConvergenceError(f"Bohr-Sommerfeld iteration stalled at level {n}")
-
+    The action rises from 0 at the well bottom to action(W, top) at the top of
+    the certified range, top = min(W.ws[0], W.ws[-1]); a level above that
+    raises ``ConvergenceError``.  All levels solve together by ``_secant`` in
+    [W.well_value, top], to |action - pi (2n - 1)| <= ``_ACTION_TOL``.
+    """
+    n = np.asarray(n, dtype=float)
+    if not np.all(np.isfinite(n) & (n >= 1.0) & (n == np.floor(n))):
+        raise ValueError(f"level index must be a positive integer, got {n}")
+    targets = math.pi * (2.0 * n.ravel() - 1.0)
+    lo, top = W.well_value, float(min(W.ws[0], W.ws[-1]))
+    if (over := targets > (reach := action(W, top))).any():
+        raise ConvergenceError(
+            f"Bohr-Sommerfeld bracket failure: level {n.ravel()[over][0]:g} needs action "
+            f"{targets[over][0]:.6g}, but mu in [{lo:g}, {top:g}] under the top of the "
+            f"certified range reaches only {reach:.6g}"
+        )
+    mu = _secant(
+        lambda ml, live: action(W, ml) - targets[live], lo + (top - lo) * targets / reach,
+        lo, top, top, reach - targets, _ACTION_TOL, "Bohr-Sommerfeld solve",
+    )
+    return mu.reshape(n.shape) if n.ndim else float(mu[0])

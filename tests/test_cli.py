@@ -208,6 +208,18 @@ def test_main_stage_failure_is_exit_2(tmp_path, capsys):
     assert "stage bs failed" in capsys.readouterr().err
 
 
+def test_main_bs_tabulates_every_level_under_the_certified_range(tmp_path, capsys):
+    # levels 12-14 fit under the top of the default window; 15 does not
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bs_levels = 1,12,13,14\n")
+    assert main(["bs", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "bs.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [1.0, 12.0, 13.0, 14.0]
+    cfg.write_text("bs_levels = 15\n")
+    assert main(["bs", "--config", str(cfg), "--out", str(tmp_path / "out15")]) == 2
+    assert "bracket failure: level 15 " in capsys.readouterr().err
+
+
 def test_main_study_write_failure_is_stage_output(tmp_path, capsys):
     out = tmp_path / "out"
     (out / "painleve.csv").mkdir(parents=True)

@@ -40,6 +40,7 @@ def test_cli_import_loads_no_heavy_scipy_module():
 
 
 _SMALL_RUNS = {
+    "bs": "bs_levels = 1,2,3\n",
     "spectrum": "eps = 0.1, 0.05\nn_pairs = 1\n",
     "groundstate": "dimension = 3\neps = 0.1\nn_nodes = 2001\n",
 }

@@ -111,17 +111,20 @@ def test_quantization_tracks_layer_operator(sol, m0_report):
     assert rels[2] < 1e-3
 
 
-def test_bs_eigenvalue_validation():
+def test_bs_eigenvalue_validation(sol):
     with pytest.raises(ValueError):
         bs_eigenvalue(simplified(), 0)
     # the certified range only supports actions up to W(y_right)^(3/2)
     with pytest.raises(ConvergenceError, match="bracket failure"):
         bs_eigenvalue(simplified(), 75)
+    with pytest.raises(ValueError, match="level index must be a positive integer"):
+        bs_eigenvalue(from_solution(sol), 1.5)
 
 
 def test_bs_eigenvalue_action_budget(sol, monkeypatch):
-    # deterministic guard on the Illinois step: plain regula falsi keeps one
-    # bracket end and spends 107 action calls on this table
+    # deterministic guard on solving all levels together: one action call at
+    # the top of the certified range, then one per secant round; a per-level
+    # loop with span doubling and Illinois steps made 81 calls on this table
     profile = from_solution(sol)
     calls = []
 
@@ -130,9 +133,40 @@ def test_bs_eigenvalue_action_budget(sol, monkeypatch):
         return action(W, mu)
 
     monkeypatch.setattr(semiclassics, "action", counted)
-    for n in range(1, 9):
-        bs_eigenvalue(profile, n)
-    assert len(calls) <= 90
+    levels = np.arange(1, 9)
+    together = bs_eigenvalue(profile, levels)
+    assert len(calls) <= 10
+    monkeypatch.undo()
+    one_by_one = [bs_eigenvalue(profile, int(n)) for n in levels]
+    assert all(isinstance(mu, float) for mu in one_by_one)
+    np.testing.assert_allclose(together, one_by_one, rtol=1e-12, atol=0.0)
+
+
+def test_bs_levels_fill_the_certified_range(sol):
+    # levels 12-14 fit under W0(y_min) = 20, the lower end value of the default
+    # window, though doubling the bracket span from the well stepped past it
+    profile = from_solution(sol)
+    top = min(profile.ws[0], profile.ws[-1])
+    levels = np.array([12, 13, 14])
+    mu = bs_eigenvalue(profile, levels)
+    assert np.all(mu < top)
+    residual = action(profile, mu) - math.pi * (2 * levels - 1)
+    assert np.max(np.abs(residual)) <= 1e-9
+    with pytest.raises(ConvergenceError, match=r"bracket failure: level 15 "):
+        bs_eigenvalue(profile, [1, 15])
+
+
+def test_phase_rule_is_gauss_legendre():
+    # the 64-node rule integrates polynomials of degree < 128 in phi exactly
+    phi, weights = semiclassics._phase_rule()
+    order = np.argsort(phi)
+    xg, wg = np.polynomial.legendre.leggauss(phi.size)
+    np.testing.assert_allclose(phi[order], 0.25 * math.pi * (xg + 1.0), rtol=0.0, atol=1e-15)
+    # leggauss's own weights are off by up to 1.3e-12 relative (against mpmath roots)
+    np.testing.assert_allclose(weights[order], 0.25 * math.pi * wg, rtol=2e-12)
+    for k in range(12):
+        exact = (0.5 * math.pi) ** (k + 1) / (k + 1)
+        assert float(weights @ phi**k) == pytest.approx(exact, rel=1e-14)
 
 
 def test_layer_action_matches_quadrature_oracle(sol):
