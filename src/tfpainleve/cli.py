@@ -19,7 +19,7 @@ import numpy as np
 
 from ._io import format_float, write_csv, write_lines
 from .corrections import build_corrections
-from .groundstate import composite_eta, energy, remainder_study, solve_ground_state
+from .groundstate import energy, ground_state_ladder, remainder_study
 from .painleve import solve_hastings_mcleod, w0_min
 from .semiclassics import bs_eigenvalue, from_solution
 from .spectrum import assemble_M0, eig_smallest, scaling_study
@@ -93,13 +93,17 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def validate_config(cfg: dict) -> None:
-    """Check every numeric value against the module preconditions up front."""
+def validate_config(cfg: dict, command: str | None = None) -> None:
+    """Check every numeric value against the module preconditions of ``command`` up front."""
     for key in _FLOAT_KEYS:
         if not math.isfinite(cfg[key]):
             raise ConfigError(f"{key} must be finite, got {cfg[key]}")
     if cfg["dimension"] not in (1, 2, 3):
         raise ConfigError(f"dimension must be 1, 2 or 3, got {cfg['dimension']}")
+    if command == "spectrum" and cfg["dimension"] != 1:
+        raise ConfigError(
+            f"the spectrum is d = 1 only: dimension must be 1, got {cfg['dimension']}"
+        )
     if not cfg["eps"]:
         raise ConfigError("eps list is empty")
     for e in cfg["eps"]:
@@ -269,27 +273,18 @@ def cmd_groundstate(cfg, out, plots, stages) -> None:
     d = cfg["dimension"]
     sol = stages.run("painleve", lambda: _solve_painleve(cfg))
     cset = stages.run("corrections", lambda: build_corrections(sol, d, order=cfg["order"]))
-
-    def one(eps):
-        gs = solve_ground_state(
-            eps, cset, tol=cfg["gs_tol"], r_max=cfg["r_max"],
-            nodes_per_layer=cfg["nodes_per_layer"],
-        )
-        comp = composite_eta(cset, eps, gs.grid.nodes)
-        return gs, comp
-
-    eps_list = sorted(cfg["eps"], reverse=True)
-    results = stages.run("groundstate", lambda: [one(eps) for eps in eps_list])
+    states = stages.run("groundstate", lambda: list(ground_state_ladder(
+        cset, cfg["eps"], tol=cfg["gs_tol"], r_max=cfg["r_max"],
+        nodes_per_layer=cfg["nodes_per_layer"],
+    )))
     summary = []
-    for eps, (gs, comp) in zip(eps_list, results):
-        gs.to_csv(os.path.join(out, f"groundstate_d{d}_eps{eps:g}.csv"), composite=comp)
-        summary.append((f"energy_eps{eps:g}", energy(gs)))
-        summary.append((f"residual_eps{eps:g}", _format_residual(gs.residual_max)))
+    for gs in states:
+        gs.to_csv(os.path.join(out, f"groundstate_d{d}_eps{gs.eps:g}.csv"))
+        summary.append((f"energy_eps{gs.eps:g}", energy(gs)))
+        summary.append((f"residual_eps{gs.eps:g}", _format_residual(gs.residual_max)))
     _write_summary(os.path.join(out, "summary.txt"), summary)
     if plots:
-        series = [
-            (f"eta eps={eps:g}", gs.grid.nodes, gs.eta) for eps, (gs, _) in zip(eps_list, results)
-        ]
+        series = [(f"eta eps={gs.eps:g}", gs.grid.nodes, gs.eta) for gs in states]
         _svg_plot(os.path.join(out, "groundstate.svg"), f"Ground states, d={d}", series)
 
 
@@ -433,7 +428,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        validate_config(cfg)
+        validate_config(cfg, args.command)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -36,19 +36,17 @@ class GroundState:
     residual_max: float
     tol: float
     newton_iterations: int
+    composite: np.ndarray  # the composite approximation on the nodes, the Newton seed
 
     def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=float)
-        eta.setflags(write=False)
-        object.__setattr__(self, "eta", eta)
+        for name in ("eta", "composite"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
-    def to_csv(self, path, composite=None) -> None:
-        header = ["r", "eta"]
-        cols = [self.grid.nodes, self.eta]
-        if composite is not None:
-            header += ["composite", "abs_diff"]
-            cols += [composite, np.abs(self.eta - composite)]
-        write_csv(path, header, cols)
+    def to_csv(self, path) -> None:
+        write_csv(path, ["r", "eta", "composite", "abs_diff"],
+                  [self.grid.nodes, self.eta, self.composite, np.abs(self.eta - self.composite)])
 
 
 def default_grid(eps: float, r_max: float = 2.5, nodes_per_layer: int = 40) -> Grid1D:
@@ -102,9 +100,10 @@ def solve_ground_state(
     The dimension is that of ``cset``.  The grid is ``default_grid`` on
     [0, max(r_max, 2, 1 + 6 eps^(2/3))], so it reaches past the decay region
     beyond r = 1; the profile vanishes at its end.  The initial guess is the
-    composite approximation of ``cset``; each Newton step solves with
-    ``trap_operator``, the operator L+ at the iterate.  A positive state
-    exists only for eps * dimension < 1; other pairs are a ValueError.
+    composite approximation of ``cset``, kept on all nodes as the result's
+    ``composite``; each Newton step solves with ``trap_operator``, the
+    operator L+ at the iterate.  A positive state exists only for
+    eps * dimension < 1; other pairs are a ValueError.
     """
     dimension = cset.dimension
     if not 0.0 < eps <= 0.5:
@@ -125,11 +124,11 @@ def solve_ground_state(
             "need at least 20 nodes per layer width"
         )
 
-    eta0 = composite_eta(cset, eps, r[:-1])
+    composite = composite_eta(cset, eps, r)
     eta, rnorm, iterations = damped_newton(
         lambda eta: _residual(eta, r, h, eps, dimension),
         lambda eta: trap_operator(eps, dimension, grid, eta),
-        eta0, tol, _MAX_ITERATIONS, what=f"ground state Newton at eps={eps:g}",
+        composite[:-1], tol, _MAX_ITERATIONS, what=f"ground state Newton at eps={eps:g}",
     )
     eta = np.append(eta, 0.0)
 
@@ -146,7 +145,22 @@ def solve_ground_state(
         residual_max=rnorm,
         tol=tol,
         newton_iterations=iterations,
+        composite=composite,
     )
+
+
+def ground_state_ladder(cset: CorrectionSet, eps_list, **solve_kwargs):
+    """``solve_ground_state`` over eps_list in descending order, one state at a time.
+
+    The list must be non-empty and free of repeats; this is checked before
+    the first solve.
+    """
+    eps_desc = sorted(eps_list, reverse=True)
+    if not eps_desc:
+        raise ValueError("empty eps list")
+    if any(a == b for a, b in zip(eps_desc, eps_desc[1:])):
+        raise ValueError(f"the eps ladder needs distinct values, got {tuple(eps_list)}")
+    return (solve_ground_state(eps, cset, **solve_kwargs) for eps in eps_desc)
 
 
 _SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -220,17 +234,11 @@ def remainder_study(cset: CorrectionSet, eps_list) -> RemainderTable:
     iterates the full nonlinear problem to its own tolerance (1e-10, on 80
     nodes per layer width).
     """
-    eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
-    if eps_arr.size < 2:
+    if len(eps_list) < 2:
         raise ValueError("remainder study needs at least two eps values")
-    if np.any(eps_arr[1:] == eps_arr[:-1]):
-        raise ValueError(f"remainder study needs distinct eps values, got {eps_list}")
-    errs = []
-    for eps in eps_arr:
-        gs = solve_ground_state(eps, cset, tol=1e-10, nodes_per_layer=80)
-        comp = composite_eta(cset, eps, gs.grid.nodes)
-        errs.append(float(np.abs(gs.eta - comp).max()))
-    errs = np.asarray(errs)
+    ladder = [(gs.eps, float(np.abs(gs.eta - gs.composite).max()))
+              for gs in ground_state_ladder(cset, eps_list, tol=1e-10, nodes_per_layer=80)]
+    eps_arr, errs = (np.asarray(col, dtype=float) for col in zip(*ladder))
     pair = np.full(eps_arr.size, np.nan)
     pair[1:] = np.log(errs[:-1] / errs[1:]) / np.log(eps_arr[:-1] / eps_arr[1:])
     fit = loglog_slope(eps_arr, errs)

@@ -22,7 +22,7 @@ from .painleve import ConvergenceError, PainleveSolution
 
 _GL_NODES = 64
 _SAMPLES = 4001
-_ACTION_TOL = 1e-9
+_ACTION_TOL = 1e-13  # to rounding: a 1-ulp step in mu moves the action by about 1e-14
 _ROOT_ROUNDS = 80
 _EPS = float(np.finfo(float).eps)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

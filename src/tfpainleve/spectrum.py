@@ -22,7 +22,7 @@ import numpy as np
 from ._io import write_csv
 from .corrections import CorrectionSet
 from .grids import TridiagonalOperator, lapack
-from .groundstate import GroundState, solve_ground_state, trap_operator
+from .groundstate import GroundState, ground_state_ladder, trap_operator
 from .painleve import ConvergenceError, PainleveSolution, layer_operator
 
 _POSITIVE_TAGS = ("M0", "LplusNeumann", "LplusDirichlet")
@@ -201,41 +201,23 @@ def scaling_study(
     """
     if cset.dimension != 1:
         raise ValueError(f"scaling study needs d=1 corrections, got d={cset.dimension}")
-    eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
-    if eps_arr.size == 0:
-        raise ValueError("empty eps list")
-    if np.any(eps_arr[1:] == eps_arr[:-1]):
-        raise ValueError(f"scaling study needs distinct eps values, got {eps_list}")
     if len(mu) < n_pairs:
         raise ValueError(f"mu holds {len(mu)} M0 eigenvalues, need n_pairs = {n_pairs}")
 
-    rows_eps, rows_n = [], []
-    l_odd, l_even, s_odd, s_even, mus, gaps = [], [], [], [], [], []
-    for eps in eps_arr:
-        gs = solve_ground_state(eps, cset, nodes_per_layer=nodes_per_layer, tol=gs_tol)
-        lam_n = eig_smallest(
-            assemble_Lplus(gs, "Neumann"), n_pairs, label="LplusNeumann"
-        ).eigenvalues
-        lam_d = eig_smallest(
-            assemble_Lplus(gs, "Dirichlet"), n_pairs, label="LplusDirichlet"
-        ).eigenvalues
-        s = eps ** (2.0 / 3.0)
-        for i in range(n_pairs):
-            rows_eps.append(eps)
-            rows_n.append(i + 1)
-            l_odd.append(lam_n[i])
-            l_even.append(lam_d[i])
-            s_odd.append(lam_n[i] / s)
-            s_even.append(lam_d[i] / s)
-            mus.append(mu[i])
-            gaps.append((lam_d[i] - lam_n[i]) / lam_d[i])
+    eps, odd, even = [], [], []
+    for gs in ground_state_ladder(cset, eps_list, nodes_per_layer=nodes_per_layer, tol=gs_tol):
+        eps.append(gs.eps)
+        odd.append(eig_smallest(assemble_Lplus(gs, "Neumann"), n_pairs, label="LplusNeumann"))
+        even.append(eig_smallest(assemble_Lplus(gs, "Dirichlet"), n_pairs, label="LplusDirichlet"))
+    lam_odd, lam_even = (np.concatenate([r.eigenvalues for r in col]) for col in (odd, even))
+    scale = np.repeat([e ** (2.0 / 3.0) for e in eps], n_pairs)
     return ScalingTable(
-        eps=np.asarray(rows_eps),
-        n=np.asarray(rows_n, dtype=float),
-        lambda_odd=np.asarray(l_odd),
-        lambda_even=np.asarray(l_even),
-        scaled_odd=np.asarray(s_odd),
-        scaled_even=np.asarray(s_even),
-        mu=np.asarray(mus),
-        pair_gap=np.asarray(gaps),
+        eps=np.repeat(np.asarray(eps, dtype=float), n_pairs),
+        n=np.tile(np.arange(1.0, n_pairs + 1.0), len(eps)),
+        lambda_odd=lam_odd,
+        lambda_even=lam_even,
+        scaled_odd=lam_odd / scale,
+        scaled_even=lam_even / scale,
+        mu=np.tile(np.asarray(mu[:n_pairs], dtype=float), len(eps)),
+        pair_gap=(lam_even - lam_odd) / lam_even,
     )

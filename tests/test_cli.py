@@ -103,6 +103,17 @@ def test_groundstate_rejects_eps_times_dimension_at_least_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_spectrum_rejects_dimension_other_than_one(tmp_path, capsys):
+    # the L+ spectrum is assembled in d = 1 only; it must not write the d = 1 table for d = 3
+    cfg = tmp_path / "d3.cfg"
+    cfg.write_text("dimension = 3\neps = 0.1\nn_pairs = 1\n")
+    rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "dimension" in err and "d = 1 only" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_bad_config_is_exit_1(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("eps = 0.9\n")

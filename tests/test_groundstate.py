@@ -17,7 +17,10 @@ from tfpainleve import (
     uniform_grid,
 )
 from oracles import thomas_fermi
+from tfpainleve import cli, groundstate
+from tfpainleve.cli import main
 from tfpainleve.corrections import composite_nu
+from tfpainleve.groundstate import ground_state_ladder
 
 
 def test_thomas_fermi_energy_matches_symbolic_quadrature():
@@ -165,10 +168,41 @@ def test_remainder_study_needs_two_eps(cset1):
 
 
 def test_ground_state_csv(gs1_eps01, cset1, tmp_path):
+    # the composite a state carries is the Newton seed, evaluated on every node
+    np.testing.assert_array_equal(
+        gs1_eps01.composite, composite_eta(cset1, 0.1, gs1_eps01.grid.nodes)
+    )
     path = tmp_path / "gs.csv"
-    comp = composite_eta(cset1, 0.1, gs1_eps01.grid.nodes)
-    gs1_eps01.to_csv(path, composite=comp)
+    gs1_eps01.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "r,eta,composite,abs_diff"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_allclose(data[:, 3], np.abs(gs1_eps01.eta - comp), atol=1e-15)
+    np.testing.assert_array_equal(data[:, 2], gs1_eps01.composite)
+    np.testing.assert_array_equal(data[:, 3], np.abs(gs1_eps01.eta - gs1_eps01.composite))
+
+
+def test_ground_state_ladder_checks_before_solving_and_runs_descending(cset1):
+    for eps_list, fragment in (((), "empty"), ((0.1, 0.05, 0.1), "distinct")):
+        with pytest.raises(ValueError, match=fragment):
+            ground_state_ladder(cset1, eps_list)
+    ladder = ground_state_ladder(cset1, (0.1, 0.2), nodes_per_layer=20)
+    assert [gs.eps for gs in ladder] == [0.2, 0.1]
+
+
+def test_each_ground_state_evaluates_the_composite_once(cset1, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(cset, eps, x):
+        calls.append(eps)
+        return composite_eta(cset, eps, x)
+
+    monkeypatch.setattr(groundstate, "composite_eta", counted)
+    # a copy bound in the CLI module would evaluate the composite a second time
+    monkeypatch.setattr(cli, "composite_eta", counted, raising=False)
+    remainder_study(cset1, (0.1, 0.05))
+    assert calls == [0.1, 0.05]
+    calls.clear()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.05, 0.2, 0.1\n")
+    assert main(["groundstate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [0.2, 0.1, 0.05]

@@ -156,6 +156,20 @@ def test_bs_levels_fill_the_certified_range(sol):
         bs_eigenvalue(profile, [1, 15])
 
 
+def test_bs_eigenvalue_matches_bisection_to_rounding(sol):
+    # bisect the action until no midpoint lies strictly inside any bracket:
+    # mu_bs must agree with that to rounding, not to the first 11 digits
+    profile = from_solution(sol)
+    levels = np.array([1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 14])
+    targets = math.pi * (2 * levels - 1)
+    lo = np.full(levels.shape, profile.well_value)
+    hi = np.full(levels.shape, min(profile.ws[0], profile.ws[-1]))
+    while np.any(((mid := 0.5 * (lo + hi)) > lo) & (mid < hi)):
+        below = action(profile, mid) < targets
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    np.testing.assert_allclose(bs_eigenvalue(profile, levels), lo, rtol=1e-14, atol=0.0)
+
+
 def test_phase_rule_is_gauss_legendre():
     # the 64-node rule integrates polynomials of degree < 128 in phi exactly
     phi, weights = semiclassics._phase_rule()
