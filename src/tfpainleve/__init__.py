@@ -26,7 +26,6 @@ from .painleve import (
     tail_plus,
     tail_minus,
     solve_hastings_mcleod,
-    w0_min,
 )
 from .corrections import (
     CorrectionSet,
@@ -78,7 +77,6 @@ __all__ = [
     "tail_plus",
     "tail_minus",
     "solve_hastings_mcleod",
-    "w0_min",
     "CorrectionSet",
     "nu0_second_derivative",
     "assemble_F1",

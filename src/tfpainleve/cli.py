@@ -18,11 +18,12 @@ import sys
 import numpy as np
 
 from ._io import format_float, write_csv, write_lines
-from .corrections import build_corrections
-from .groundstate import energy, ground_state_ladder, remainder_study
-from .painleve import solve_hastings_mcleod, w0_min
-from .semiclassics import bs_eigenvalue, from_solution
-from .spectrum import assemble_M0, eig_smallest, scaling_study
+from .corrections import build_corrections, check_expansion
+from .groundstate import (check_ground_state, energy, eps_ladder, ground_state_ladder,
+                          remainder_study)
+from .painleve import check_window, solve_hastings_mcleod
+from .semiclassics import bs_eigenvalue, check_levels, from_solution
+from .spectrum import assemble_M0, check_d1, eig_smallest, scaling_study
 
 
 class ConfigError(ValueError):
@@ -46,24 +47,17 @@ _DEFAULTS = {
 }
 
 
-_FLOAT_KEYS = ("y_min", "y_max", "tol", "gs_tol", "r_max")
-
-
 def _parse_value(key: str, raw: str):
+    """``raw`` as the type of the key's default: a tuple is a comma list, None is text."""
+    default = _DEFAULTS[key]
     try:
-        if key in ("dimension", "order", "n_nodes", "nodes_per_layer", "n_pairs"):
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key == "eps":
-            return tuple(float(p) for p in raw.split(",") if p.strip())
-        if key == "bs_levels":
-            return tuple(int(p) for p in raw.split(",") if p.strip())
-        if key == "out_dir":
+        if default is None:
             return raw
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(p) for p in raw.split(",") if p.strip())
+        return type(default)(raw)
     except ValueError:
         raise ConfigError(f"bad value {raw!r} for key {key!r}") from None
-    raise ConfigError(f"unknown configuration key {key!r}")
 
 
 def load_config(path: str | None) -> dict:
@@ -94,49 +88,33 @@ def load_config(path: str | None) -> dict:
 
 
 def validate_config(cfg: dict, command: str | None = None) -> None:
-    """Check every numeric value against the module preconditions of ``command`` up front."""
-    for key in _FLOAT_KEYS:
-        if not math.isfinite(cfg[key]):
-            raise ConfigError(f"{key} must be finite, got {cfg[key]}")
-    if cfg["dimension"] not in (1, 2, 3):
-        raise ConfigError(f"dimension must be 1, 2 or 3, got {cfg['dimension']}")
-    if command == "spectrum" and cfg["dimension"] != 1:
-        raise ConfigError(
-            f"the spectrum is d = 1 only: dimension must be 1, got {cfg['dimension']}"
-        )
-    if not cfg["eps"]:
-        raise ConfigError("eps list is empty")
-    for e in cfg["eps"]:
-        if not 0.0 < e <= 0.5:
-            raise ConfigError(f"eps values must lie in (0, 0.5], got {e}")
-        if e * cfg["dimension"] >= 1.0:
-            raise ConfigError(
-                f"eps * dimension must be below 1, got eps = {e} in dimension {cfg['dimension']}"
-            )
+    """Check every value up front: each module's own rule, then the rules of the CLI alone.
+
+    A module rule's ValueError becomes a ConfigError with the same message.
+    """
+    for key, value in cfg.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+    try:
+        check_expansion(cfg["dimension"], cfg["order"])
+        if command == "spectrum":
+            check_d1(cfg["dimension"])
+        check_window(cfg["y_min"], cfg["y_max"], cfg["n_nodes"])
+        for eps in eps_ladder(cfg["eps"]):
+            check_ground_state(eps, cfg["dimension"], cfg["r_max"], cfg["nodes_per_layer"])
+        check_levels(cfg["bs_levels"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     # the labels name the per-eps CSV files and summary keys
     if len({f"{e:g}" for e in cfg["eps"]}) < len(cfg["eps"]):
         raise ConfigError(f"eps values must have distinct 6-digit labels, got {cfg['eps']}")
-    if not 1 <= cfg["order"] <= 3:
-        raise ConfigError(f"order must be between 1 and 3, got {cfg['order']}")
-    if cfg["y_min"] > -15.0 or cfg["y_max"] < 30.0:
-        raise ConfigError(
-            f"layer grid [{cfg['y_min']}, {cfg['y_max']}] must cover [-15, 30]"
-        )
-    if cfg["n_nodes"] < 2000:
-        raise ConfigError(f"n_nodes must be at least 2000, got {cfg['n_nodes']}")
     for key in ("tol", "gs_tol"):
         if not cfg[key] > 0.0:
             raise ConfigError(f"{key} must be positive, got {cfg[key]}")
-    if cfg["nodes_per_layer"] < 20:
-        raise ConfigError(f"nodes_per_layer must be at least 20, got {cfg['nodes_per_layer']}")
-    if cfg["r_max"] < 2.0:
-        raise ConfigError(f"r_max must be at least 2, got {cfg['r_max']}")
     if not 1 <= cfg["n_pairs"] <= 8:
         raise ConfigError(f"n_pairs must be between 1 and 8, got {cfg['n_pairs']}")
-    if not cfg["bs_levels"] or any(n < 1 for n in cfg["bs_levels"]):
-        raise ConfigError(f"bs_levels must be positive integers, got {cfg['bs_levels']}")
-    if len(set(cfg["bs_levels"])) < len(cfg["bs_levels"]):
-        raise ConfigError(f"bs_levels must be distinct, got {cfg['bs_levels']}")
+    if not cfg["bs_levels"] or len(set(cfg["bs_levels"])) < len(cfg["bs_levels"]):
+        raise ConfigError(f"bs_levels must be non-empty and distinct, got {cfg['bs_levels']}")
 
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -249,13 +227,13 @@ def _solve_painleve(cfg):
 def cmd_painleve(cfg, out, plots, stages) -> None:
     sol = stages.run("painleve", lambda: _solve_painleve(cfg))
     sol.to_csv(os.path.join(out, "painleve.csv"))
-    wloc, wmin = w0_min(sol)
+    W = from_solution(sol)
     _write_summary(
         os.path.join(out, "summary.txt"),
         [
             ("nu0_at_0", float(sol.interp_nu0(0.0))),
-            ("W_min", wmin),
-            ("W_min_location", wloc),
+            ("W_min", W.well_value),
+            ("W_min_location", W.well_location),
             ("residual_max", _format_residual(sol.residual_max)),
             ("newton_iterations", sol.newton_iterations),
         ],

@@ -30,7 +30,7 @@ _FIT_WINDOW = (25.0, 40.0)
 _FIT_FLOOR = 1e-11
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrectionSet:
     """Layer expansion nu_0 + sum eps^(2n/3) nu_n of one dimension.
 
@@ -76,14 +76,22 @@ def assemble_F1(sol: PainleveSolution, dimension: int) -> np.ndarray:
     The curvature comes from the profile equation rather than from double
     differencing, so the far field of F1 is series-accurate.
     """
-    _check_dimension(dimension)
+    check_dimension(dimension)
     y = sol.grid.nodes
     return -2.0 * dimension * sol.dnu0 - 4.0 * y * nu0_second_derivative(sol)
 
 
-def _check_dimension(dimension: int) -> None:
+def check_dimension(dimension: int) -> None:
+    """ValueError unless dimension is 1, 2 or 3, the radial dimensions the expansion covers."""
     if dimension not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
+
+
+def check_expansion(dimension: int, order: int) -> None:
+    """ValueError unless ``build_corrections`` takes this dimension and order (at most 3)."""
+    check_dimension(dimension)
+    if not 1 <= order <= 3:
+        raise ValueError(f"correction order must be between 1 and 3, got {order}")
 
 
 def _linear_solve(sol: PainleveSolution, rhs: np.ndarray, right: float) -> np.ndarray:
@@ -145,7 +153,7 @@ def assemble_Fn(sol: PainleveSolution, terms, n: int, dimension: int) -> np.ndar
     with the triple sum over indices below n summing to n.  Derivatives of the
     corrections are taken by differencing their samples.
     """
-    _check_dimension(dimension)
+    check_dimension(dimension)
     if n < 2:
         raise ValueError(f"assemble_Fn starts at order 2, got {n}; use assemble_F1")
     if len(terms) < n - 1:
@@ -170,9 +178,7 @@ def build_corrections(sol: PainleveSolution, dimension: int, order: int = 2) -> 
     Validates the far-field decay rate of each resolvable correction against
     the expected exponent beta - 2n before returning the set.
     """
-    _check_dimension(dimension)
-    if not 1 <= order <= 3:
-        raise ValueError(f"correction order must be between 1 and 3, got {order}")
+    check_expansion(dimension, order)
     beta = TAIL_EXPONENTS[dimension]
     terms = []
     forcings = []

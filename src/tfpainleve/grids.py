@@ -46,7 +46,7 @@ class SingularPivotError(ValueError):
         super().__init__(f"singular pivot at elimination index {index}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid1D:
     """Uniform one-dimensional grid with nodes in increasing order.
 
@@ -92,7 +92,7 @@ def uniform_grid(a: float, b: float, n: int) -> Grid1D:
     return Grid1D(np.linspace(a, b, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TridiagonalOperator:
     """Tridiagonal matrix stored by bands."""
 

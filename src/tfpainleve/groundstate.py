@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv
-from .corrections import CorrectionSet, composite_nu, loglog_slope
+from .corrections import CorrectionSet, check_dimension, composite_nu, loglog_slope
 from .grids import (Grid1D, TridiagonalOperator, first_difference, to_boundary_layer,
                     uniform_grid)
 from .painleve import ConvergenceError, damped_newton, tail_minus
@@ -25,7 +25,7 @@ _MAX_ITERATIONS = 60
 _NEGATIVE_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundState:
     """Converged radial profile for one (eps, dimension) pair."""
 
@@ -88,6 +88,25 @@ def _residual(eta, r, h, eps, d):
     return res
 
 
+def check_ground_state(eps: float, dimension: int, r_max: float, nodes_per_layer: int) -> None:
+    """ValueError unless ``solve_ground_state`` takes these inputs.
+
+    A positive state exists only for eps * dimension < 1.  At 20 or more
+    nodes per layer width, ``default_grid`` resolves the eps^(2/3) layer.
+    """
+    if not 0.0 < eps <= 0.5:
+        raise ValueError(f"eps values must lie in (0, 0.5], got {eps}")
+    if eps * dimension >= 1.0:
+        raise ValueError(
+            f"no positive ground state for eps * dimension >= 1, got eps={eps:g}, "
+            f"dimension={dimension}"
+        )
+    if nodes_per_layer < 20:
+        raise ValueError(f"nodes_per_layer must be at least 20, got {nodes_per_layer}")
+    if not (math.isfinite(r_max) and r_max >= 2.0):
+        raise ValueError(f"r_max must be finite and at least 2, got {r_max}")
+
+
 def solve_ground_state(
     eps: float,
     cset: CorrectionSet,
@@ -97,32 +116,20 @@ def solve_ground_state(
 ) -> GroundState:
     """Damped-Newton solve for the positive radial profile, seeded with the composite.
 
-    The dimension is that of ``cset``.  The grid is ``default_grid`` on
-    [0, max(r_max, 2, 1 + 6 eps^(2/3))], so it reaches past the decay region
+    The dimension is that of ``cset``; ``check_ground_state`` states the
+    accepted inputs.  The grid is ``default_grid`` on
+    [0, max(r_max, 1 + 6 eps^(2/3))], so it reaches past the decay region
     beyond r = 1; the profile vanishes at its end.  The initial guess is the
     composite approximation of ``cset``, kept on all nodes as the result's
     ``composite``; each Newton step solves with ``trap_operator``, the
-    operator L+ at the iterate.  A positive state exists only for
-    eps * dimension < 1; other pairs are a ValueError.
+    operator L+ at the iterate.
     """
     dimension = cset.dimension
-    if not 0.0 < eps <= 0.5:
-        raise ValueError(f"eps must lie in (0, 0.5], got {eps}")
-    if eps * dimension >= 1.0:
-        raise ValueError(
-            f"no positive ground state for eps * dimension >= 1, got eps={eps:g}, "
-            f"dimension={dimension}"
-        )
-    width = eps ** (2.0 / 3.0)
-    r_need = max(2.0, 1.0 + 6.0 * width)
-    grid = default_grid(eps, r_max=max(r_max, r_need), nodes_per_layer=nodes_per_layer)
+    check_ground_state(eps, dimension, r_max, nodes_per_layer)
+    grid = default_grid(eps, r_max=max(r_max, 1.0 + 6.0 * eps ** (2.0 / 3.0)),
+                        nodes_per_layer=nodes_per_layer)
     h = grid.spacing
     r = grid.nodes
-    if h > width / 20.0:
-        raise ValueError(
-            f"grid spacing {h:.3e} too coarse for the eps^(2/3) layer {width:.3e}; "
-            "need at least 20 nodes per layer width"
-        )
 
     composite = composite_eta(cset, eps, r)
     eta, rnorm, iterations = damped_newton(
@@ -149,18 +156,19 @@ def solve_ground_state(
     )
 
 
-def ground_state_ladder(cset: CorrectionSet, eps_list, **solve_kwargs):
-    """``solve_ground_state`` over eps_list in descending order, one state at a time.
-
-    The list must be non-empty and free of repeats; this is checked before
-    the first solve.
-    """
+def eps_ladder(eps_list) -> list:
+    """eps_list in descending order; ValueError when it is empty or repeats a value."""
     eps_desc = sorted(eps_list, reverse=True)
     if not eps_desc:
         raise ValueError("empty eps list")
     if any(a == b for a, b in zip(eps_desc, eps_desc[1:])):
         raise ValueError(f"the eps ladder needs distinct values, got {tuple(eps_list)}")
-    return (solve_ground_state(eps, cset, **solve_kwargs) for eps in eps_desc)
+    return eps_desc
+
+
+def ground_state_ladder(cset: CorrectionSet, eps_list, **solve_kwargs):
+    """``solve_ground_state`` over ``eps_ladder(eps_list)``, which runs before the first solve."""
+    return (solve_ground_state(eps, cset, **solve_kwargs) for eps in eps_ladder(eps_list))
 
 
 _SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
@@ -171,8 +179,7 @@ def energy_of(eps: float, dimension: int, grid: Grid1D, eta: np.ndarray) -> floa
 
     E = |S^{d-1}| int ( eps^2 eta'^2 + (r^2 - 1) eta^2 + eta^4 / 2 ) r^{d-1} dr
     """
-    if dimension not in _SURFACE:
-        raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
+    check_dimension(dimension)
     r = grid.nodes
     deta = first_difference(eta, grid)
     density = eps * eps * deta**2 + (r * r - 1.0) * eta * eta + 0.5 * eta**4
@@ -196,7 +203,7 @@ def composite_eta(cset: CorrectionSet, eps: float, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = to_boundary_layer(x, eps)
     sol = cset.profile
-    if np.any(y > sol.grid.b):
+    if not np.all(y <= sol.grid.b):  # NaN fails this too
         raise ValueError(
             f"layer coordinate reaches y = {y.max():.2f} beyond the profile grid; "
             "re-solve the profile with a larger y_max"
@@ -211,7 +218,7 @@ def composite_eta(cset: CorrectionSet, eps: float, x) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RemainderTable:
     """sup-norm error of the composite approximation over a ladder of eps."""
 

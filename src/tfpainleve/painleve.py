@@ -148,7 +148,7 @@ def tail_minus(y):
     return val if val.ndim else float(val)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PainleveSolution:
     """Converged layer profile on its grid, with derivative and W0 samples."""
 
@@ -176,7 +176,8 @@ class PainleveSolution:
 
     def _require_inside(self, y):
         y = np.asarray(y)
-        if np.any(y < self.grid.a) or np.any(y > self.grid.b):
+        # an inside test, so that NaN fails it too
+        if not np.all((y >= self.grid.a) & (y <= self.grid.b)):
             raise ValueError(
                 f"requested y outside the solution grid [{self.grid.a}, {self.grid.b}]"
             )
@@ -206,6 +207,14 @@ def _newton_residual(inner, y, h, left, right):
     )
 
 
+def check_window(y_min: float, y_max: float, n_nodes: int) -> None:
+    """ValueError unless the layer grid covers [-15, 30], where the tails hold, with 2000+ nodes."""
+    if not (-np.inf < y_min <= -15.0 and 30.0 <= y_max < np.inf):
+        raise ValueError(f"layer grid [{y_min}, {y_max}] must be finite and cover [-15, 30]")
+    if n_nodes < 2000:
+        raise ValueError(f"n_nodes must be at least 2000, got {n_nodes}")
+
+
 def solve_hastings_mcleod(
     y_min: float = -20.0,
     y_max: float = 40.0,
@@ -223,12 +232,7 @@ def solve_hastings_mcleod(
     the rounding floor of the second-difference stencil (relevant at fine
     spacing, where eps_mach / h^2 can exceed tol) also counts as converged.
     """
-    if y_min > -15.0 or y_max < 30.0:
-        raise ValueError(
-            f"domain [{y_min}, {y_max}] too short; need y_min <= -15 and y_max >= 30"
-        )
-    if n_nodes < 2000:
-        raise ValueError(f"need at least 2000 nodes to resolve the layer, got {n_nodes}")
+    check_window(y_min, y_max, n_nodes)
     grid = uniform_grid(y_min, y_max, n_nodes)
     y = grid.nodes
     h = grid.spacing
@@ -267,26 +271,3 @@ def solve_hastings_mcleod(
         tol=tol,
         newton_iterations=iterations,
     )
-
-
-def w0_min(sol: PainleveSolution):
-    """Minimum of W0 with parabolic refinement through the three nearest samples.
-
-    Returns (location, value).  The minimum sits just left of y = 0 where the
-    growth of 3 nu0^2 overtakes the slope of -y.
-    """
-    w = sol.w0
-    i = int(np.argmin(w))
-    if i == 0 or i == w.size - 1:
-        raise ConvergenceError("W0 minimum at the domain edge; enlarge the grid")
-    y = sol.grid.nodes
-    y1, y2, y3 = y[i - 1], y[i], y[i + 1]
-    w1, w2, w3 = w[i - 1], w[i], w[i + 1]
-    denom = w1 - 2.0 * w2 + w3
-    if denom <= 0.0:
-        return float(y2), float(w2)
-    # uniform grid: vertex of the interpolating parabola
-    h = y2 - y1
-    loc = y2 + 0.5 * h * (w1 - w3) / denom
-    val = w2 - 0.125 * (w1 - w3) ** 2 / denom
-    return float(loc), float(val)

@@ -211,6 +211,14 @@ def action(W: PotentialProfile, mu):
     return out if out.ndim else float(out)
 
 
+def check_levels(n) -> np.ndarray:
+    """The level indices n as a float array; ValueError unless each is a positive integer."""
+    n = np.asarray(n, dtype=float)
+    if not np.all(np.isfinite(n) & (n >= 1.0) & (n == np.floor(n))):
+        raise ValueError(f"level index must be a positive integer (bs_levels), got {n}")
+    return n
+
+
 def bs_eigenvalue(W: PotentialProfile, n):
     """Energies mu_n solving action(W, mu) = pi (2n - 1); scalar n gives a float.
 
@@ -219,9 +227,7 @@ def bs_eigenvalue(W: PotentialProfile, n):
     raises ``ConvergenceError``.  All levels solve together by ``_secant`` in
     [W.well_value, top], to |action - pi (2n - 1)| <= ``_ACTION_TOL``.
     """
-    n = np.asarray(n, dtype=float)
-    if not np.all(np.isfinite(n) & (n >= 1.0) & (n == np.floor(n))):
-        raise ValueError(f"level index must be a positive integer, got {n}")
+    n = check_levels(n)
     targets = math.pi * (2.0 * n.ravel() - 1.0)
     lo, top = W.well_value, float(min(W.ws[0], W.ws[-1]))
     if (over := targets > (reach := action(W, top))).any():

@@ -28,7 +28,7 @@ from .painleve import ConvergenceError, PainleveSolution, layer_operator
 _POSITIVE_TAGS = ("M0", "LplusNeumann", "LplusDirichlet")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumReport:
     """Smallest eigenvalues of one operator with their eigenvectors.
 
@@ -51,6 +51,14 @@ class SpectrumReport:
             object.__setattr__(self, name, arr)
 
 
+def check_d1(dimension: int) -> None:
+    """ValueError unless dimension is 1: L+ is assembled, and its spectrum studied, in d = 1 only."""
+    if dimension != 1:
+        raise ValueError(
+            f"the spectrum is d = 1 only: L+ needs a d=1 profile, got dimension {dimension}"
+        )
+
+
 def assemble_M0(sol: PainleveSolution) -> TridiagonalOperator:
     """Dirichlet discretization of -4 d^2/dy^2 + W0 on the interior layer nodes."""
     return layer_operator(sol.grid.spacing, sol.w0[1:-1])
@@ -66,8 +74,7 @@ def assemble_Lplus(gs: GroundState, bc: str) -> TridiagonalOperator:
     assembly on the mirrored interval exactly.  Neumann / Dirichlet at the
     origin select the even / odd sector: the matrix, or it without the origin row.
     """
-    if gs.dimension != 1:
-        raise ValueError(f"L+ assembly needs a d=1 profile, got d={gs.dimension}")
+    check_d1(gs.dimension)
     if bc not in ("Neumann", "Dirichlet"):
         raise ValueError(f"unknown boundary tag {bc!r}")
     op = trap_operator(gs.eps, 1, gs.grid, gs.eta[:-1])
@@ -149,7 +156,7 @@ def eig_smallest(op: TridiagonalOperator, k: int, label: str = "generic") -> Spe
     return SpectrumReport(operator=label, eigenvalues=evals, eigenvectors=vecs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalingTable:
     """Half-line eigenvalue pairs over an eps ladder against the M0 limits.
 
@@ -199,8 +206,7 @@ def scaling_study(
     eps at a time in descending order.  ``mu`` holds the smallest M0
     eigenvalues mu_1, mu_2, ... of ``cset.profile``, at least n_pairs of them.
     """
-    if cset.dimension != 1:
-        raise ValueError(f"scaling study needs d=1 corrections, got d={cset.dimension}")
+    check_d1(cset.dimension)
     if len(mu) < n_pairs:
         raise ValueError(f"mu holds {len(mu)} M0 eigenvalues, need n_pairs = {n_pairs}")
 

@@ -30,7 +30,6 @@ from tfpainleve import (
     tail_fit_window,
     tail_plus,
     uniform_grid,
-    w0_min,
 )
 from tfpainleve.corrections import TAIL_EXPONENTS, loglog_slope
 
@@ -53,10 +52,10 @@ def test_criterion_01_profile_solve_converges_and_matches_shooting_oracle():
 
 
 def test_criterion_02_layer_potential_minimum_positive_and_grid_stable(sol):
-    _, wmin = w0_min(sol)
+    wmin = from_solution(sol).well_value
     assert wmin > 0.0
     fine = solve_hastings_mcleod(n_nodes=12001)
-    _, wmin_fine = w0_min(fine)
+    wmin_fine = from_solution(fine).well_value
     assert abs(wmin_fine - wmin) <= 1e-6
 
 
@@ -173,7 +172,7 @@ def test_criterion_10_eigenfunction_decay_prefactors(sol, m0_report):
     y = sol.grid.nodes[1:-1]
     h = y[1] - y[0]
     w0 = sol.w0[1:-1]
-    w_low = w0_min(sol)[1]
+    w_low = from_solution(sol).well_value
     for cert, mu in zip(certs, m0_report.eigenvalues):
         reach = float(np.max(np.abs(y[w0 <= mu + 4.0])))
         prior = np.sqrt(h) * ((mu - w_low) / 4.0) ** 0.25 * np.exp(reach)

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tfpainleve import (bs_eigenvalue, build_corrections, from_solution, scaling_study,
+                        solve_ground_state, solve_hastings_mcleod)
 from tfpainleve.cli import ConfigError, _DEFAULTS, load_config, main, validate_config
+from tfpainleve.groundstate import ground_state_ladder
 
 
 def read_summary(path):
@@ -90,6 +93,36 @@ def test_validate_config_rejects(key, value, fragment):
     cfg[key] = value
     with pytest.raises(ConfigError, match=fragment):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize(
+    ("key", "value", "solve"),
+    [
+        ("dimension", 5, lambda sol, cset: build_corrections(sol, 5)),
+        ("dimension", 3, lambda sol, cset: scaling_study(build_corrections(sol, 3), (0.1,), [])),
+        ("eps", (), lambda sol, cset: ground_state_ladder(cset, ())),
+        ("eps", (0.9,), lambda sol, cset: solve_ground_state(0.9, cset)),
+        ("eps", (0.1, 0.1), lambda sol, cset: ground_state_ladder(cset, (0.1, 0.1))),
+        ("order", 9, lambda sol, cset: build_corrections(sol, 1, order=9)),
+        ("order", 0, lambda sol, cset: build_corrections(sol, 1, order=0)),
+        ("y_max", 20.0, lambda sol, cset: solve_hastings_mcleod(y_max=20.0)),
+        ("n_nodes", 100, lambda sol, cset: solve_hastings_mcleod(n_nodes=100)),
+        ("nodes_per_layer", 5, lambda sol, cset: solve_ground_state(0.1, cset, nodes_per_layer=5)),
+        ("r_max", 1.0, lambda sol, cset: solve_ground_state(0.1, cset, r_max=1.0)),
+        ("bs_levels", (0, 2), lambda sol, cset: bs_eigenvalue(from_solution(sol), (0, 2))),
+    ],
+)
+def test_config_error_is_the_module_rule(key, value, solve, sol, cset1, tmp_path, capsys):
+    # each rule has one owner: the CLI prints the solver's own message
+    with pytest.raises(ValueError) as raised:
+        solve(sol, cset1)
+    text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    rc = main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"configuration error: {raised.value}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_groundstate_rejects_eps_times_dimension_at_least_one(tmp_path, capsys):

@@ -127,11 +127,34 @@ def test_solve_validation(cset1, cset3):
     with pytest.raises(ValueError):
         solve_ground_state(0.6, cset1)
     # too-coarse grid for the layer width
-    with pytest.raises(ValueError, match="too coarse"):
+    with pytest.raises(ValueError, match="nodes_per_layer must be at least 20"):
         solve_ground_state(0.1, cset1, nodes_per_layer=5)
     # no positive ground state exists for eps * dimension >= 1
     with pytest.raises(ValueError, match="eps \\* dimension"):
         solve_ground_state(1.0 / 3.0, cset3)
+
+
+@pytest.mark.parametrize("r_max", [1.0, -3.0, np.inf, np.nan])
+def test_solve_rejects_r_max_outside_its_rule(cset1, r_max):
+    # the library once solved r_max = -3 on [0, 2.29] and overflowed on inf
+    with pytest.raises(ValueError, match="r_max"):
+        solve_ground_state(0.1, cset1, r_max=r_max)
+
+
+def test_solve_rejects_too_few_nodes_per_layer_at_large_eps(cset1):
+    # at eps = 0.5 the 201-node floor of default_grid hid 5 nodes per layer
+    with pytest.raises(ValueError, match="nodes_per_layer"):
+        solve_ground_state(0.5, cset1, nodes_per_layer=5)
+
+
+def test_nan_coordinates_raise_the_named_error(sol, cset1):
+    # every comparison with NaN is False, so only an inside test rejects it
+    with pytest.raises(ValueError, match="outside the solution grid"):
+        sol.interp_nu0(np.nan)
+    with pytest.raises(ValueError, match="outside the solution grid"):
+        composite_nu(cset1, 0.1, np.nan)
+    with pytest.raises(ValueError, match="beyond the profile grid"):
+        composite_eta(cset1, 0.1, np.nan)
 
 
 def test_ground_state_takes_its_dimension_from_the_correction_set(cset3):

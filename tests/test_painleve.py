@@ -10,7 +10,6 @@ from tfpainleve import (
     solve_hastings_mcleod,
     tail_minus,
     tail_plus,
-    w0_min,
 )
 from tfpainleve import painleve
 from tfpainleve.grids import Grid1D, TridiagonalOperator
@@ -123,21 +122,23 @@ def test_standard_form_change_of_variables(sol):
 
 def test_w0_positive_and_frozen_minimum(sol):
     assert np.all(sol.w0 > 0.0)
-    location, value = w0_min(sol)
-    assert value == pytest.approx(1.2333601779902887, abs=1e-9)
-    assert location == pytest.approx(-0.337293091980258, abs=1e-6)
+    W = from_solution(sol)
+    location, value = W.well_location, W.well_value
+    assert value == pytest.approx(1.2333601638539657, abs=1e-9)
+    assert location == pytest.approx(-0.33728789676378551, abs=1e-6)
     assert abs(location) < 2.2  # the minimizer is O(1), slightly left of 0
 
 
 def test_w0_far_field(sol):
     W = from_solution(sol)
+    assert (W.ys[0], W.ys[-1]) == (sol.grid.a, sol.grid.b)
     assert float(W(-15.0)) == pytest.approx(15.0, rel=1e-5)
     assert float(W(sol.grid.b)) == pytest.approx(80.0, rel=0.01)
 
 
 def test_w0_min_stable_under_halving(sol):
     fine = solve_hastings_mcleod(n_nodes=12001)
-    assert abs(w0_min(fine)[1] - w0_min(sol)[1]) <= 1e-6
+    assert abs(from_solution(fine).well_value - from_solution(sol).well_value) <= 1e-6
 
 
 def test_connection_value_refines_at_second_order(sol):
@@ -155,6 +156,13 @@ def test_interp_rejects_outside_domain(sol):
         sol.interp_nu0(sol.grid.b + 1.0)
     with pytest.raises(ValueError):
         sol.interp_nu0(sol.grid.a - 1e-9)
+
+
+@pytest.mark.parametrize("window", [{"y_max": np.inf}, {"y_min": np.nan}, {"y_min": -np.inf}])
+def test_solve_rejects_a_non_finite_window(window):
+    # inf passes a bare "covers [-15, 30]" test and NaN fails every comparison
+    with pytest.raises(ValueError, match="layer grid"):
+        solve_hastings_mcleod(**window)
 
 
 def test_csv_serialization(sol, tmp_path):

@@ -14,7 +14,6 @@ from tfpainleve import (
     bs_eigenvalue,
     from_function,
     from_solution,
-    w0_min,
 )
 from tfpainleve import semiclassics
 from tfpainleve.semiclassics import _branch_positions
@@ -89,14 +88,6 @@ def test_from_function_rejections():
         from_function(nan_band, -5.0, 5.0)
     with pytest.raises(ValueError, match="not finite on the certified range at y = -10"):
         from_function(inf_walls, -10.0, 10.0)
-
-
-def test_layer_potential_profile_matches_w0_minimum(sol):
-    profile = from_solution(sol)
-    location, value = w0_min(sol)
-    assert profile.well_value == pytest.approx(value, abs=1e-6)
-    assert profile.well_location == pytest.approx(location, abs=1e-3)
-    assert (profile.ys[0], profile.ys[-1]) == (sol.grid.a, sol.grid.b)
 
 
 def test_quantization_tracks_layer_operator(sol, m0_report):
