@@ -21,7 +21,7 @@ from ._io import format_float, write_csv, write_lines
 from .corrections import build_corrections, check_expansion
 from .groundstate import (check_ground_state, energy, eps_ladder, ground_state_ladder,
                           remainder_study)
-from .painleve import check_window, solve_hastings_mcleod
+from .painleve import check_tol, check_window, solve_hastings_mcleod
 from .semiclassics import bs_eigenvalue, check_levels, from_solution
 from .spectrum import assemble_M0, check_d1, eig_smallest, scaling_study
 
@@ -103,14 +103,13 @@ def validate_config(cfg: dict, command: str | None = None) -> None:
         for eps in eps_ladder(cfg["eps"]):
             check_ground_state(eps, cfg["dimension"], cfg["r_max"], cfg["nodes_per_layer"])
         check_levels(cfg["bs_levels"])
+        for key in ("tol", "gs_tol"):
+            check_tol(cfg[key], key)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     # the labels name the per-eps CSV files and summary keys
     if len({f"{e:g}" for e in cfg["eps"]}) < len(cfg["eps"]):
         raise ConfigError(f"eps values must have distinct 6-digit labels, got {cfg['eps']}")
-    for key in ("tol", "gs_tol"):
-        if not cfg[key] > 0.0:
-            raise ConfigError(f"{key} must be positive, got {cfg[key]}")
     if not 1 <= cfg["n_pairs"] <= 8:
         raise ConfigError(f"n_pairs must be between 1 and 8, got {cfg['n_pairs']}")
     if not cfg["bs_levels"] or len(set(cfg["bs_levels"])) < len(cfg["bs_levels"]):

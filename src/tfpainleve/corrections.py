@@ -55,8 +55,9 @@ class CorrectionSet:
         return len(self.terms)
 
     @cached_property
-    def _splines(self):
-        return tuple(UniformSpline(self.profile.grid, t) for t in self.terms)
+    def _spline(self) -> UniformSpline:
+        """One spline over (nu_0, nu_1, ..., nu_N) on the profile grid."""
+        return UniformSpline(self.profile.grid, (self.profile.nu0, *self.terms))
 
     def to_csv(self, path) -> None:
         orders = range(1, self.order + 1)
@@ -206,10 +207,8 @@ def composite_nu(cset: CorrectionSet, eps: float, y):
     """
     if not 0.0 < eps:
         raise ValueError(f"eps must be positive, got {eps}")
-    sol = cset.profile
-    sol._require_inside(y)
-    y = np.asarray(y, dtype=float)
-    total = sol._nu0_spline(y)
-    for n, spline in enumerate(cset._splines, start=1):
-        total = total + eps ** (2.0 * n / 3.0) * spline(y)
-    return total if total.ndim else float(total)
+    cset.profile._require_inside(y)
+    total, *terms = cset._spline(y)
+    for n, term in enumerate(terms, start=1):
+        total = total + eps ** (2.0 * n / 3.0) * term
+    return total

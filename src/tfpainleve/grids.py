@@ -129,12 +129,9 @@ class TridiagonalOperator:
         return out
 
 
-def solve_tridiagonal(op: TridiagonalOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve op x = rhs by elimination with partial pivoting (LAPACK dgtsv)."""
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (op.n,):
-        raise ValueError(f"rhs of shape {rhs.shape} does not match operator size {op.n}")
-    _, _, _, x, info = lapack.dgtsv(op.sub.copy(), op.diag.copy(), op.sup.copy(), rhs)
+def _gtsv(sub, diag, sup, rhs, overwrite):
+    """LAPACK dgtsv on the bands and right-hand side; ``overwrite`` lets it solve in place."""
+    _, _, _, x, info = lapack.dgtsv(sub, diag, sup, rhs, overwrite, overwrite, overwrite, overwrite)
     if info > 0:
         raise SingularPivotError(info - 1)
     if info < 0:
@@ -142,50 +139,80 @@ def solve_tridiagonal(op: TridiagonalOperator, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-class UniformSpline:
-    """Not-a-knot cubic spline through samples on a uniform grid.
+def solve_tridiagonal(op: TridiagonalOperator, rhs: np.ndarray) -> np.ndarray:
+    """Solve op x = rhs by elimination with partial pivoting (LAPACK dgtsv)."""
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (op.n,):
+        raise ValueError(f"rhs of shape {rhs.shape} does not match operator size {op.n}")
+    return _gtsv(op.sub, op.diag, op.sup, rhs, False)
 
-    The second derivatives M solve M[i-1] + 4 M[i] + M[i+1] = 6 (v[i-1] - 2 v[i]
+
+def _not_a_knot_bands(n: int):
+    """Fresh (sub, diag, sup) of the not-a-knot system on n samples, for dgtsv to overwrite."""
+    diag = np.full(n - 2, 4.0)
+    diag[0] = diag[-1] = 6.0
+    sub = np.ones(n - 3)
+    sup = np.ones(n - 3)
+    sup[0] = sub[-1] = 0.0
+    return sub, diag, sup
+
+
+class UniformSpline:
+    """Not-a-knot cubic splines through samples on a uniform grid.
+
+    ``values`` is one sample array, or a tuple of them for several splines on
+    the same grid; a call then returns one result per column, in order.  The
+    second derivatives M solve M[i-1] + 4 M[i] + M[i+1] = 6 (v[i-1] - 2 v[i]
     + v[i+1]) / h^2 at the interior nodes.  Not-a-knot (one cubic across the
     first two and the last two intervals) sets M[0] = 2 M[1] - M[2] and
     M[n-1] = 2 M[n-2] - M[n-3]; eliminating them leaves a tridiagonal system
-    whose end rows are 6 M[1] and 6 M[n-2].  Each interval keeps its Horner
-    coefficients in the local variable t = y - nodes[i].  Points outside the
-    grid extrapolate the end cubics.  Scalars in give floats out.
+    whose end rows are 6 M[1] and 6 M[n-2], one dgtsv solve per column.  The
+    spline keeps M, one float per node and column, and a reference to the
+    samples, which must not change afterwards.  A call forms the Horner
+    coefficients of the intervals it needs, in the local variable
+    t = y - nodes[i], from the rows it gathers.  Points outside the grid
+    extrapolate the end cubics.  Scalars in give floats out.
     """
 
     def __init__(self, grid: Grid1D, values):
-        v = np.asarray(values, dtype=float)
-        if v.shape != grid.nodes.shape:
-            raise ValueError(f"values shape {v.shape} does not match grid size {grid.n}")
-        if v.size < 4:
-            raise ValueError(f"a not-a-knot spline needs at least 4 samples, got {v.size}")
+        self._single = not isinstance(values, tuple)
+        columns = tuple(np.asarray(v, dtype=float) for v in ((values,) if self._single else values))
+        for v in columns:
+            if v.shape != grid.nodes.shape:
+                raise ValueError(f"values shape {v.shape} does not match grid size {grid.n}")
+        if grid.n < 4:
+            raise ValueError(f"a not-a-knot spline needs at least 4 samples, got {grid.n}")
         h = grid.spacing
-        diag = np.full(v.size - 2, 4.0)
-        diag[0] = diag[-1] = 6.0
-        sub = np.ones(v.size - 3)
-        sup = sub.copy()
-        sup[0] = sub[-1] = 0.0
-        rhs = 6.0 * (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
-        m = solve_tridiagonal(TridiagonalOperator(sub, diag, sup), rhs)
-        m = np.concatenate(([2.0 * m[0] - m[1]], m, [2.0 * m[-1] - m[-2]]))
-        d = (m[1:] - m[:-1]) / (6.0 * h)
-        c = 0.5 * m[:-1]
-        b = np.diff(v) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0
-        self._value = np.stack([d, c, b, v[:-1]], axis=1)
+        m = np.empty((len(columns), grid.n))
+        for v, row in zip(columns, m):
+            row[1:-1] = 6.0 * (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
+            _gtsv(*_not_a_knot_bands(grid.n), row[1:-1], True)
+            row[0] = 2.0 * row[1] - row[2]
+            row[-1] = 2.0 * row[-2] - row[-3]
+        # each column's samples and M at the left and right end of every interval
+        self._ends = tuple((v[:-1], v[1:], mj[:-1], mj[1:]) for v, mj in zip(columns, m))
         self._knots = grid.nodes[:-1]
         self._a = grid.a
         self._inv_h = 1.0 / h
+        self._h = h
 
     def __call__(self, y):
         # ``take`` in clip mode clamps the interval index to [0, n - 2], so
         # points outside the grid use the end intervals
         y = np.asarray(y, dtype=float)
+        h = self._h
         k = ((y - self._a) * self._inv_h).astype(np.intp)
         t = y - self._knots.take(k, mode="clip")
-        d, c, b, a = self._value.take(k, axis=0, mode="clip").T
-        out = ((d * t + c) * t + b) * t + a
-        return out if out.ndim else float(out)
+        out = []
+        for v0, v1, m0, m1 in self._ends:
+            mk, mk1 = m0.take(k, mode="clip"), m1.take(k, mode="clip")
+            vk = v0.take(k, mode="clip")
+            d = (mk1 - mk) / (6.0 * h)
+            c = 0.5 * mk
+            b = (v1.take(k, mode="clip") - vk) / h - h * (2.0 * mk + mk1) / 6.0
+            s = ((d * t + c) * t + b) * t + vk
+            out.append(s if s.ndim else float(s))
+        return out[0] if self._single else tuple(out)
 
 
 def second_difference(values: np.ndarray, grid: Grid1D) -> np.ndarray:

@@ -11,6 +11,7 @@ w = W0, the operator M0 of the correction ladder and the spectrum; the
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,6 +28,14 @@ class ConvergenceError(RuntimeError):
     """Raised when a damped Newton iteration fails to reach its tolerance."""
 
 
+def check_tol(tol, name: str = "tol") -> None:
+    """ValueError unless the Newton tolerance is finite and positive; ``name`` labels it."""
+    if not math.isfinite(tol):
+        raise ValueError(f"{name} must be finite, got {tol}")
+    if not tol > 0.0:
+        raise ValueError(f"{name} must be positive, got {tol}")
+
+
 def damped_newton(residual, jacobian, x0, tol, budget, floor=None, what="Newton"):
     """Newton iteration on a tridiagonal Jacobian, halving each step until the residual drops.
 
@@ -36,8 +45,10 @@ def damped_newton(residual, jacobian, x0, tol, budget, floor=None, what="Newton"
     ``floor(x)``, the iteration ends at once as converged: the iterate sits on
     its rounding floor, and halving would only re-evaluate it.  Otherwise the
     step is halved up to 40 times; if none lowers the residual the iteration
-    ends with a ``ConvergenceError``.  Returns (x, residual max-norm, iterations).
+    ends with a ``ConvergenceError``.  ``tol`` must pass ``check_tol``.
+    Returns (x, residual max-norm, iterations).
     """
+    check_tol(tol)
     x = x0
     res = residual(x)
     rnorm = float(np.abs(res).max())

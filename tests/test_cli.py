@@ -86,6 +86,7 @@ def test_load_config_errors(tmp_path):
         ("eps", (0.1, 0.1), "distinct"),
         ("bs_levels", (2, 1, 2), "distinct"),
         ("eps", (0.1, 0.1000001), "distinct 6-digit labels"),
+        ("gs_tol", -1.0, "gs_tol must be positive, got -1.0"),
     ],
 )
 def test_validate_config_rejects(key, value, fragment):

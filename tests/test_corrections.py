@@ -1,7 +1,9 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import oracles
 from tfpainleve import (
@@ -141,6 +143,68 @@ def test_composite_nu_uses_the_profile_its_set_was_built_on():
         eps ** (2.0 * n / 3.0) * t[::25] for n, t in enumerate(cset.terms, start=1)
     )
     np.testing.assert_allclose(composite_nu(cset, eps, y), expected, atol=1e-13)
+
+
+def test_composite_nu_scalar_in_float_out(sol, cset1):
+    y = sol.grid.nodes[[100, 2500, 4000]]
+    values = composite_nu(cset1, 0.1, y)
+    for yi, vi in zip(y, values):
+        got = composite_nu(cset1, 0.1, float(yi))
+        assert type(got) is float and got == vi
+
+
+@pytest.fixture(scope="module")
+def cset_fine3():
+    return build_corrections(solve_hastings_mcleod(n_nodes=20001), 3, order=3)
+
+
+def _horner_table_spline(grid, v, y):
+    """Not-a-knot spline of v at y through a stored per-interval (d, c, b, a) Horner table."""
+    h = grid.spacing
+    diag = np.full(v.size - 2, 4.0)
+    diag[0] = diag[-1] = 6.0
+    sub = np.ones(v.size - 3)
+    sup = sub.copy()
+    sup[0] = sub[-1] = 0.0
+    rhs = 6.0 * (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h**2
+    _, _, _, m, info = lapack.dgtsv(sub, diag, sup, rhs)
+    assert info == 0
+    m = np.concatenate(([2.0 * m[0] - m[1]], m, [2.0 * m[-1] - m[-2]]))
+    d = (m[1:] - m[:-1]) / (6.0 * h)
+    c = 0.5 * m[:-1]
+    b = np.diff(v) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    table = np.stack([d, c, b, v[:-1]], axis=1)
+    k = ((y - grid.a) * (1.0 / h)).astype(np.intp)
+    t = y - grid.nodes[:-1].take(k, mode="clip")
+    d, c, b, a = table.take(k, axis=0, mode="clip").T
+    return ((d * t + c) * t + b) * t + a
+
+
+def test_composite_nu_equals_the_horner_table_sum_exactly(cset_fine3):
+    grid = cset_fine3.profile.grid
+    rng = np.random.default_rng(3)
+    y = np.concatenate((rng.uniform(grid.a, grid.b, 2000), grid.nodes[::7], [grid.a, grid.b]))
+    eps = 0.05
+    expected = _horner_table_spline(grid, cset_fine3.profile.nu0, y)
+    for n, term in enumerate(cset_fine3.terms, start=1):
+        expected = expected + eps ** (2.0 * n / 3.0) * _horner_table_spline(grid, term, y)
+    np.testing.assert_array_equal(composite_nu(cset_fine3, eps, y), expected)
+
+
+def test_composite_spline_keeps_one_float_per_node_and_order(cset_fine3):
+    # a fresh set over the same arrays, so that its first composite builds the spline
+    cset = CorrectionSet(profile=cset_fine3.profile, dimension=3, terms=cset_fine3.terms,
+                         forcings=cset_fine3.forcings)
+    y = np.linspace(0.0, 1.0, 5)
+    tracemalloc.start()
+    try:
+        composite_nu(cset, 0.1, y)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    per_node = 8.0 * cset.profile.grid.n
+    assert retained / per_node <= cset.order + 1 + 0.1
+    assert peak / per_node <= cset.order + 1 + 6
 
 
 def test_composite_nu_validation(sol, cset1):

@@ -160,5 +160,42 @@ def test_spline_validation():
         UniformSpline(uniform_grid(0.0, 1.0, 5), np.zeros(4))
     with pytest.raises(ValueError, match="does not match"):
         UniformSpline(uniform_grid(0.0, 1.0, 5), np.zeros((5, 2)))
+    with pytest.raises(ValueError, match="does not match"):
+        UniformSpline(uniform_grid(0.0, 1.0, 5), (np.zeros(5), np.zeros(4)))
+
+
+def _columns(g, rng):
+    # the oracle test's samples: noise on short grids, smooth functions on long ones
+    if g.n < 10:
+        return tuple(rng.normal(size=g.n) for _ in range(3))
+    y = g.nodes
+    return (np.sin(3.0 * y) + 0.5 * np.cos(0.7 * y), np.cos(2.0 * y), np.exp(-0.2 * y))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6001])
+def test_multi_column_spline_equals_its_single_column_splines(n):
+    rng = np.random.default_rng(n)
+    g = uniform_grid(-1.0, 2.0, n)
+    columns = _columns(g, rng)
+    spline = UniformSpline(g, columns)
+    y = np.concatenate((rng.uniform(g.a - 0.2, g.b + 0.2, 1000), g.nodes))
+    values = spline(y)
+    assert isinstance(values, tuple) and len(values) == len(columns)
+    for v, got in zip(columns, values):
+        np.testing.assert_array_equal(got, UniformSpline(g, v)(y))
+    scalars = spline(0.35)
+    assert all(type(s) is float for s in scalars)
+    assert scalars == tuple(UniformSpline(g, v)(0.35) for v in columns)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6001])
+def test_multi_column_spline_matches_scipy_not_a_knot_oracle(n):
+    rng = np.random.default_rng(n)
+    g = uniform_grid(0.0, 18.0, n)
+    columns = _columns(g, rng)
+    y = np.concatenate((rng.uniform(g.a, g.b, 1000), g.nodes, [g.a, g.b]))
+    for v, got in zip(columns, UniformSpline(g, columns)(y)):
+        oracle = CubicSpline(g.nodes, v)
+        np.testing.assert_allclose(got, oracle(y), rtol=0.0, atol=50 * _EPS * np.max(np.abs(v)))
 
 #END

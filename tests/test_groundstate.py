@@ -173,6 +173,14 @@ def test_unreachable_tolerance_raises_naming_eps(cset1):
         solve_ground_state(0.1, cset1, tol=1e-30)
 
 
+@pytest.mark.parametrize(("tol", "fragment"), [(0.0, "positive"), (-1.0, "positive"),
+                                               (np.nan, "finite")])
+def test_solve_rejects_a_tolerance_that_is_not_positive_and_finite(cset1, tol, fragment):
+    # tol = NaN used to return the unconverged seed, since rnorm > NaN is False
+    with pytest.raises(ValueError, match=f"tol must be {fragment}, got {tol}"):
+        solve_ground_state(0.1, cset1, tol=tol)
+
+
 def test_remainder_table_fields(cset1):
     table = remainder_study(cset1, (0.1, 0.05))
     assert table.dimension == 1 and table.order == 2

@@ -165,6 +165,14 @@ def test_solve_rejects_a_non_finite_window(window):
         solve_hastings_mcleod(**window)
 
 
+@pytest.mark.parametrize(("tol", "fragment"), [(0.0, "positive"), (-1.0, "positive"),
+                                               (np.nan, "finite")])
+def test_solve_rejects_a_tolerance_that_is_not_positive_and_finite(tol, fragment):
+    # tol = 0 and tol < 0 used to end as converged at the rounding floor
+    with pytest.raises(ValueError, match=f"tol must be {fragment}, got {tol}"):
+        solve_hastings_mcleod(tol=tol)
+
+
 def test_csv_serialization(sol, tmp_path):
     path = tmp_path / "profile.csv"
     sol.to_csv(path)
