@@ -7,7 +7,14 @@ studies the small-eigenvalue scaling of the linearized operator, with
 Bohr-Sommerfeld quadrature as an independent cross-check.
 """
 
+import os
+import sys
+
 __version__ = "0.1.0"
+
+# one OpenBLAS thread starts faster, and the only BLAS call here is a small gemv
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .grids import (
     SingularPivotError,
@@ -29,8 +36,6 @@ from .painleve import (
 )
 from .corrections import (
     CorrectionSet,
-    nu0_second_derivative,
-    assemble_F1,
     assemble_Fn,
     build_corrections,
     composite_nu,
@@ -78,8 +83,6 @@ __all__ = [
     "tail_minus",
     "solve_hastings_mcleod",
     "CorrectionSet",
-    "nu0_second_derivative",
-    "assemble_F1",
     "assemble_Fn",
     "build_corrections",
     "composite_nu",

@@ -65,23 +65,6 @@ class CorrectionSet:
         write_csv(path, header, [self.profile.grid.nodes, *self.terms, *self.forcings])
 
 
-def nu0_second_derivative(sol: PainleveSolution) -> np.ndarray:
-    """Curvature of the profile through its own equation, nu0'' = (nu0^3 - y nu0) / 4."""
-    y = sol.grid.nodes
-    return 0.25 * (sol.nu0**3 - y * sol.nu0)
-
-
-def assemble_F1(sol: PainleveSolution, dimension: int) -> np.ndarray:
-    """First forcing F1 = -2 d nu0' - 4 y nu0''.
-
-    The curvature comes from the profile equation rather than from double
-    differencing, so the far field of F1 is series-accurate.
-    """
-    check_dimension(dimension)
-    y = sol.grid.nodes
-    return -2.0 * dimension * sol.dnu0 - 4.0 * y * nu0_second_derivative(sol)
-
-
 def check_dimension(dimension: int) -> None:
     """ValueError unless dimension is 1, 2 or 3, the radial dimensions the expansion covers."""
     if dimension not in (1, 2, 3):
@@ -95,13 +78,11 @@ def check_expansion(dimension: int, order: int) -> None:
         raise ValueError(f"correction order must be between 1 and 3, got {order}")
 
 
-def _linear_solve(sol: PainleveSolution, rhs: np.ndarray, right: float) -> np.ndarray:
-    """Solve (-4 D2 + W0) v = rhs with v = 0 at the left end and v = right at the right."""
-    h = sol.grid.spacing
+def _linear_solve(m0, h: float, rhs: np.ndarray, right: float) -> np.ndarray:
+    """Solve M0 v = rhs with v = 0 at the left end and v = right at the right."""
     b = rhs[1:-1].copy()
     b[-1] += 4.0 * right / h**2
-    v = solve_tridiagonal(layer_operator(h, sol.w0[1:-1]), b)
-    return np.concatenate(([0.0], v, [right]))
+    return np.concatenate(([0.0], solve_tridiagonal(m0, b), [right]))
 
 
 def loglog_slope(x: np.ndarray, v: np.ndarray) -> float:
@@ -148,17 +129,17 @@ def interaction_triples(n: int):
 
 
 def assemble_Fn(sol: PainleveSolution, terms, n: int, dimension: int) -> np.ndarray:
-    """Forcing at order n >= 2 from lower-order terms.
+    """Forcing at order n >= 1 from lower-order terms.
 
     F_n = - sum_{triples} nu_{n1} nu_{n2} nu_{n3} - 2 d nu_{n-1}' - 4 y nu_{n-1}''
-    with the triple sum over indices below n summing to n.  Derivatives of the
-    corrections are taken by differencing their samples.
+    with the triple sum over indices below n summing to n, empty at n = 1.
+    Derivatives are differenced samples (nu0' is ``sol.dnu0``), except that
+    nu0'' = (nu0^3 - y nu0) / 4 comes from the profile equation, so that the
+    far field of F_1 is series-accurate.
     """
     check_dimension(dimension)
-    if n < 2:
-        raise ValueError(f"assemble_Fn starts at order 2, got {n}; use assemble_F1")
-    if len(terms) < n - 1:
-        raise ValueError(f"order {n} forcing needs terms 1..{n - 1}, got {len(terms)}")
+    if not 1 <= n <= len(terms) + 1:
+        raise ValueError(f"order {n} forcing needs n >= 1 and terms 1..{n - 1}, got {len(terms)}")
     y = sol.grid.nodes
 
     def term(k):
@@ -168,30 +149,30 @@ def assemble_Fn(sol: PainleveSolution, terms, n: int, dimension: int) -> np.ndar
     for n1, n2, n3 in interaction_triples(n):
         F -= term(n1) * term(n2) * term(n3)
     prev = term(n - 1)
+    curvature = 0.25 * (prev**3 - y * prev) if n == 1 else second_difference(prev, sol.grid)
     F -= 2.0 * dimension * first_difference(prev, sol.grid)
-    F -= 4.0 * y * second_difference(prev, sol.grid)
+    F -= 4.0 * y * curvature
     return F
 
 
 def build_corrections(sol: PainleveSolution, dimension: int, order: int = 2) -> CorrectionSet:
     """Run the ladder up to the requested order (at most 3).
 
-    Validates the far-field decay rate of each resolvable correction against
-    the expected exponent beta - 2n before returning the set.
+    Every order solves with one M0, assembled once.  Validates the far-field
+    decay rate of each resolvable correction against the expected exponent
+    beta - 2n before returning the set.
     """
     check_expansion(dimension, order)
     beta = TAIL_EXPONENTS[dimension]
+    h = sol.grid.spacing
+    m0 = layer_operator(h, sol.w0[1:-1])
     terms = []
     forcings = []
     for n in range(1, order + 1):
-        if n == 1:
-            Fn = assemble_F1(sol, dimension)
-            # far-field value (1 - d) / (W0 sqrt(y)) of nu_1 at y_max; 0 in d = 1
-            right = (1 - dimension) * (1.0 / (sol.w0[-1] * np.sqrt(sol.grid.b)))
-        else:
-            Fn = assemble_Fn(sol, terms, n, dimension)
-            right = 0.0
-        nun = _linear_solve(sol, Fn, right)
+        Fn = assemble_Fn(sol, terms, n, dimension)
+        # far-field value (1 - d) / (W0 sqrt(y)) of nu_1 at y_max; 0 in d = 1
+        right = (1 - dimension) * (1.0 / (sol.w0[-1] * np.sqrt(sol.grid.b))) if n == 1 else 0.0
+        nun = _linear_solve(m0, h, Fn, right)
         _check_tail_slope(sol, nun, beta - 2.0 * n, f"nu_{n} (d={dimension})")
         terms.append(nun)
         forcings.append(Fn)

@@ -36,14 +36,20 @@ def check_tol(tol, name: str = "tol") -> None:
         raise ValueError(f"{name} must be positive, got {tol}")
 
 
-def damped_newton(residual, jacobian, x0, tol, budget, floor=None, what="Newton"):
+def _rounding_floor(jac: TridiagonalOperator, x: np.ndarray) -> float:
+    """2 eps_mach ||J||_inf ||x||_inf, the residual level that rounding alone leaves at x."""
+    rows = np.abs(jac.diag) + np.pad(np.abs(jac.sub), (1, 0)) + np.pad(np.abs(jac.sup), (0, 1))
+    return 2.0 * np.finfo(float).eps * float(rows.max()) * float(np.abs(x).max())
+
+
+def damped_newton(residual, jacobian, x0, tol, budget, what="Newton"):
     """Newton iteration on a tridiagonal Jacobian, halving each step until the residual drops.
 
     ``jacobian(x)`` returns the Jacobian of ``residual`` at ``x`` as a
     ``TridiagonalOperator``; at most ``budget`` steps are taken.  When the full
     step does not lower the max-norm residual and that residual is at or below
-    ``floor(x)``, the iteration ends at once as converged: the iterate sits on
-    its rounding floor, and halving would only re-evaluate it.  Otherwise the
+    ``_rounding_floor`` of the Jacobian just solved with, the iteration ends at
+    once as converged: halving would only re-evaluate the iterate.  Otherwise the
     step is halved up to 40 times; if none lowers the residual the iteration
     ends with a ``ConvergenceError``.  ``tol`` must pass ``check_tol``.
     Returns (x, residual max-norm, iterations).
@@ -58,7 +64,8 @@ def damped_newton(residual, jacobian, x0, tol, budget, floor=None, what="Newton"
             raise ConvergenceError(
                 f"{what} stalled after {iterations} iterations, residual {rnorm:.3e}"
             )
-        delta = solve_tridiagonal(jacobian(x), -res)
+        jac = jacobian(x)
+        delta = solve_tridiagonal(jac, -res)
         step = 1.0
         for halving in range(40):
             cand = x + step * delta
@@ -66,7 +73,7 @@ def damped_newton(residual, jacobian, x0, tol, budget, floor=None, what="Newton"
             cnorm = float(np.abs(cres).max())
             if cnorm < rnorm:
                 break
-            if halving == 0 and floor is not None and rnorm <= floor(x):
+            if halving == 0 and rnorm <= _rounding_floor(jac, x):
                 return x, rnorm, iterations
             step *= 0.5
         else:
@@ -239,9 +246,8 @@ def solve_hastings_mcleod(
     Jacobian of -(4 D2 nu + y nu - nu^3) there is ``layer_operator(h, 3 nu^2 - y)``,
     the operator M0 at the iterate.  The initial guess
     nu(y) = sqrt((y + sqrt(y^2 + 4)) / 2) interpolates between both regimes.
-    Newton steps are halved until the max-norm residual decreases; a stall at
-    the rounding floor of the second-difference stencil (relevant at fine
-    spacing, where eps_mach / h^2 can exceed tol) also counts as converged.
+    ``damped_newton`` ends at its rounding floor, ~eps_mach |nu| / h^2 here,
+    when that lies above tol, as it can at fine spacing.
     """
     check_window(y_min, y_max, n_nodes)
     grid = uniform_grid(y_min, y_max, n_nodes)
@@ -251,13 +257,10 @@ def solve_hastings_mcleod(
     right, _ = tail_plus(y_max, bn_coefficients(_SERIES_TERMS))
 
     nu = np.sqrt((y + np.sqrt(y * y + 4.0)) / 2.0)
-    # the difference stencil amplifies rounding to ~eps_mach |nu| / h^2;
-    # a stall at that floor is convergence, not failure
     inner, rnorm, iterations = damped_newton(
         lambda v: _newton_residual(v, y, h, left, right),
         lambda v: layer_operator(h, 3.0 * v * v - y[1:-1]),
         nu[1:-1], tol, _MAX_ITERATIONS,
-        floor=lambda v: 32.0 * np.finfo(float).eps * max(float(np.abs(v).max()), right) / h**2,
     )
     nu = np.concatenate(([left], inner, [right]))
 

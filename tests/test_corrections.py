@@ -8,16 +8,15 @@ from scipy.linalg import lapack
 import oracles
 from tfpainleve import (
     CorrectionSet,
-    assemble_F1,
     assemble_Fn,
     build_corrections,
     composite_nu,
     first_difference,
-    nu0_second_derivative,
     second_difference,
     solve_hastings_mcleod,
     tail_fit_window,
 )
+from tfpainleve import corrections
 from tfpainleve.corrections import TAIL_EXPONENTS, interaction_triples, loglog_slope
 
 
@@ -44,7 +43,28 @@ def test_forcing_assembly_matches_written_formula(sol, cset2):
 
 def test_first_forcing_rejects_bad_dimension(sol):
     with pytest.raises(ValueError):
-        assemble_F1(sol, 4)
+        assemble_Fn(sol, [], 1, 4)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_first_forcing_is_the_order_one_case_of_assemble_Fn(sol, d):
+    # F1 = -2 d nu0' - 4 y nu0'', with nu0'' = (nu0^3 - y nu0) / 4 from the profile equation
+    y = sol.grid.nodes
+    expected = -2.0 * d * sol.dnu0 - 4.0 * y * (0.25 * (sol.nu0**3 - y * sol.nu0))
+    np.testing.assert_array_equal(assemble_Fn(sol, [], 1, d), expected)
+
+
+def test_ladder_assembles_m0_once(sol, monkeypatch):
+    calls = []
+    real = corrections.layer_operator
+
+    def spy(h, w):
+        calls.append(h)
+        return real(h, w)
+
+    monkeypatch.setattr(corrections, "layer_operator", spy)
+    cset = build_corrections(sol, 3, order=3)
+    assert cset.order == 3 and calls == [sol.grid.spacing]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -66,7 +86,7 @@ def test_corrections_meet_their_boundary_values(sol, cset1, cset2, cset3, d):
     far = (1 - d) / (sol.w0[-1] * np.sqrt(y_max))
     assert nu1[-1] == pytest.approx(far, rel=1e-15, abs=0.0)
     assert abs(nu2[-1]) <= 1e-15
-    np.testing.assert_array_equal(cset.forcings[0], assemble_F1(sol, d))
+    np.testing.assert_array_equal(cset.forcings[0], assemble_Fn(sol, [], 1, d))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -82,7 +102,7 @@ def test_correction_tail_slopes(sol, cset1, cset2, cset3, d, n):
 
 def test_first_forcing_cancellation_in_d1(sol):
     # -2 nu0' and -4 y nu0'' cancel at leading order, leaving a y^(-7/2) tail
-    F1 = assemble_F1(sol, 1)
+    F1 = assemble_Fn(sol, [], 1, 1)
     y = sol.grid.nodes
     lo, up = tail_fit_window(sol)
     mask = (y >= lo) & (y <= up)
@@ -91,9 +111,12 @@ def test_first_forcing_cancellation_in_d1(sol):
 
 def test_nu0_curvature_identity(sol):
     # the converged samples satisfy the discrete profile equation, so the
-    # equation-based curvature matches the stencil to residual/4
-    d2 = second_difference(sol.nu0, sol.grid)
-    assert np.max(np.abs(nu0_second_derivative(sol) - d2)[2:-2]) <= 1e-9
+    # equation-based curvature in F1 matches the stencil to residual/4; with
+    # d = 1 the slope term is -2 nu0', so F1 + 2 nu0' = -4 y nu0''
+    y = sol.grid.nodes[2:-2]
+    curvature_term = (assemble_Fn(sol, [], 1, 1) + 2.0 * sol.dnu0)[2:-2]
+    d2 = second_difference(sol.nu0, sol.grid)[2:-2]
+    assert np.all(np.abs(curvature_term + 4.0 * y * d2) <= 4.0 * np.abs(y) * 1e-9)
 
 
 def test_split_metadata(cset1, cset2):
@@ -118,7 +141,9 @@ def test_build_corrections_validation(sol):
 
 def test_assemble_Fn_validation(sol, cset1):
     with pytest.raises(ValueError):
-        assemble_Fn(sol, [], 1, 1)
+        assemble_Fn(sol, [], 0, 1)
+    with pytest.raises(ValueError):
+        assemble_Fn(sol, [], 2, 1)
     with pytest.raises(ValueError):
         assemble_Fn(sol, cset1.terms[:1], 3, 1)
 

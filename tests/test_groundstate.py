@@ -167,10 +167,22 @@ def test_default_grid_resolves_layer():
     assert grid.spacing <= 0.1 ** (2.0 / 3.0) / 20.0
 
 
-def test_unreachable_tolerance_raises_naming_eps(cset1):
-    # residuals stall at roundoff far above 1e-30; the failure names the solve
-    with pytest.raises(ConvergenceError, match="eps=0.1"):
-        solve_ground_state(0.1, cset1, tol=1e-30)
+def test_exhausted_iteration_budget_raises_naming_eps(cset1, monkeypatch):
+    # one Newton step does not reach 1e-12 from the composite; the failure names the solve
+    monkeypatch.setattr(groundstate, "_MAX_ITERATIONS", 1)
+    with pytest.raises(ConvergenceError, match="at eps=0.1 stalled after 1 iterations"):
+        solve_ground_state(0.1, cset1, tol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tolerance_below_the_rounding_floor_ends_on_the_floor(sol, cset1, cset2, cset3, d):
+    # at 160 nodes per layer the residual stalls near 1e-12, above tol; the
+    # kernel's derived floor counts that stall as converged
+    cset = {1: cset1, 2: cset2, 3: cset3}[d]
+    fine = solve_ground_state(0.1, cset, tol=1e-13, nodes_per_layer=160)
+    assert 1e-13 < fine.residual_max <= 1e-11
+    coarse = solve_ground_state(0.1, cset, tol=1e-8, nodes_per_layer=160)
+    np.testing.assert_allclose(fine.eta, coarse.eta, rtol=0.0, atol=1e-8)
 
 
 @pytest.mark.parametrize(("tol", "fragment"), [(0.0, "positive"), (-1.0, "positive"),

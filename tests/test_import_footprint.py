@@ -73,3 +73,25 @@ def test_no_source_file_names_scipy_interpolate():
     root = Path(tfpainleve.__file__).parent
     named = [p.name for p in root.rglob("*.py") if "scipy.interpolate" in p.read_text()]
     assert named == []
+
+
+def _blas_threads(env, first=""):
+    code = (
+        f"{first}import os, tfpainleve\n"
+        "threads = [l.split()[1] for l in open('/proc/self/status') if l.startswith('Threads:')]\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), threads[0])"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_import_starts_no_blas_thread_pool():
+    # the only BLAS call is a small gemv, so neither OpenBLAS starts a pool;
+    # a value the user set wins, and a process that loaded numpy first keeps its pool
+    env = _env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    assert _blas_threads(env) == ["1", "1"]
+    assert _blas_threads(dict(env, OPENBLAS_NUM_THREADS="2"))[0] == "2"
+    assert _blas_threads(env, first="import numpy\n")[0] == "None"

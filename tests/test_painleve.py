@@ -206,23 +206,20 @@ def test_damped_newton_converges_on_tridiagonal_chain():
     assert np.abs(residual(x)).max() == rnorm
 
 
-def _rounding_floor():
-    # 1e15 (x^2 - 2) has no floating-point root: |r| stalls near 0.4 at x ~ sqrt(2)
-    return (lambda x: 1e15 * (x * x - 2.0),
-            lambda x: TridiagonalOperator(np.zeros(x.size - 1), 2e15 * x, np.zeros(x.size - 1)))
+def _jacobian_2x(scale):
+    return lambda x: TridiagonalOperator(np.zeros(x.size - 1), 2.0 * scale * x, np.zeros(x.size - 1))
 
 
 def test_damped_newton_stall_at_floor_returns():
-    residual, jacobian = _rounding_floor()
+    # 1e15 (x^2 - 2) has no floating-point root: |r| stalls near 0.4 at x ~ sqrt(2),
+    # below the derived floor 2 eps_mach ||J|| ||x|| ~ 1.8
     calls = []
 
     def counted(x):
         calls.append(1)
-        return residual(x)
+        return 1e15 * (x * x - 2.0)
 
-    x, rnorm, iterations = damped_newton(
-        counted, jacobian, np.ones(3), 1e-20, 50, floor=lambda x: 1.0
-    )
+    x, rnorm, iterations = damped_newton(counted, _jacobian_2x(1e15), np.ones(3), 1e-20, 50)
     assert rnorm <= 1.0
     np.testing.assert_allclose(x, np.sqrt(2.0), rtol=1e-15)
     # the start, one per accepted full step, and one rejected step at the
@@ -231,11 +228,24 @@ def test_damped_newton_stall_at_floor_returns():
 
 
 def test_damped_newton_stall_above_floor_raises():
-    residual, jacobian = _rounding_floor()
-    with pytest.raises(ConvergenceError, match="damping exhausted"):
-        damped_newton(residual, jacobian, np.ones(3), 1e-20, 50, floor=lambda x: 1e-3)
+    # x^2 - 2 evaluated in float32 stalls near 1e-7, far above the float64
+    # floor 2 eps_mach ||J|| ||x|| ~ 1.8e-15 that the kernel derives
+    def residual(x):
+        return (x.astype(np.float32) ** 2 - np.float32(2.0)).astype(float)
+
+    with pytest.raises(ConvergenceError, match="^Newton damping exhausted at residual 1.19"):
+        damped_newton(residual, _jacobian_2x(1.0), np.ones(3), 1e-20, 50)
     with pytest.raises(ConvergenceError, match="trial damping exhausted"):
-        damped_newton(residual, jacobian, np.ones(3), 1e-20, 50, what="trial")
+        damped_newton(residual, _jacobian_2x(1.0), np.ones(3), 1e-20, 50, what="trial")
+
+
+def test_profile_floor_is_the_stencil_rounding_level(sol):
+    # 2 eps_mach ||M0||_inf ||nu||_inf ~ 32 eps_mach max|nu| / h^2, the rounding
+    # level of the second difference at the profile
+    h, v = sol.grid.spacing, sol.nu0[1:-1]
+    jac = painleve.layer_operator(h, 3.0 * v * v - sol.grid.nodes[1:-1])
+    stencil = 32.0 * np.finfo(float).eps * np.abs(v).max() / h**2
+    assert painleve._rounding_floor(jac, v) == pytest.approx(stencil, rel=1e-4)
 
 
 def test_damped_newton_iteration_budget_raises():
