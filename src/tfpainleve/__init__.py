@@ -33,6 +33,7 @@ from .painleve import (
     tail_plus,
     tail_minus,
     solve_hastings_mcleod,
+    assemble_M0,
 )
 from .corrections import (
     CorrectionSet,
@@ -54,7 +55,6 @@ from .groundstate import (
 from .spectrum import (
     SpectrumReport,
     ScalingTable,
-    assemble_M0,
     assemble_Lplus,
     eig_smallest,
     scaling_study,
@@ -82,6 +82,7 @@ __all__ = [
     "tail_plus",
     "tail_minus",
     "solve_hastings_mcleod",
+    "assemble_M0",
     "CorrectionSet",
     "assemble_Fn",
     "build_corrections",
@@ -97,7 +98,6 @@ __all__ = [
     "remainder_study",
     "SpectrumReport",
     "ScalingTable",
-    "assemble_M0",
     "assemble_Lplus",
     "eig_smallest",
     "scaling_study",

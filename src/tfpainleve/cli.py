@@ -21,9 +21,9 @@ from ._io import format_float, write_csv, write_lines
 from .corrections import build_corrections, check_expansion
 from .groundstate import (check_ground_state, energy, eps_ladder, ground_state_ladder,
                           remainder_study)
-from .painleve import check_tol, check_window, solve_hastings_mcleod
+from .painleve import assemble_M0, check_tol, check_window, solve_hastings_mcleod
 from .semiclassics import bs_eigenvalue, check_levels, from_solution
-from .spectrum import assemble_M0, check_d1, eig_smallest, scaling_study
+from .spectrum import check_d1, eig_smallest, scaling_study
 
 
 class ConfigError(ValueError):
@@ -191,8 +191,13 @@ def _svg_plot(path, title, series, logx=False, logy=False):
 
 
 def _format_residual(value: float) -> str:
-    # a converged Newton residual is rounding noise below its tolerance: two digits say all of it
+    # a Newton residual is rounding noise, above tol only at a floor exit: two digits say all of it
     return f"{value:.1e}"
+
+
+def _floor_exit(result) -> int:
+    # damped_newton returns only at residual <= tol or at its rounding floor above tol
+    return int(result.residual_max > result.tol)
 
 
 def _write_summary(path, pairs) -> None:
@@ -235,6 +240,7 @@ def cmd_painleve(cfg, out, plots, stages) -> None:
             ("W_min_location", W.well_location),
             ("residual_max", _format_residual(sol.residual_max)),
             ("newton_iterations", sol.newton_iterations),
+            ("newton_floor_exit", _floor_exit(sol)),
         ],
     )
     if plots:
@@ -250,18 +256,19 @@ def cmd_groundstate(cfg, out, plots, stages) -> None:
     d = cfg["dimension"]
     sol = stages.run("painleve", lambda: _solve_painleve(cfg))
     cset = stages.run("corrections", lambda: build_corrections(sol, d, order=cfg["order"]))
-    states = stages.run("groundstate", lambda: list(ground_state_ladder(
-        cset, cfg["eps"], tol=cfg["gs_tol"], r_max=cfg["r_max"],
-        nodes_per_layer=cfg["nodes_per_layer"],
-    )))
-    summary = []
-    for gs in states:
+    states = ground_state_ladder(cset, cfg["eps"], tol=cfg["gs_tol"], r_max=cfg["r_max"],
+                                 nodes_per_layer=cfg["nodes_per_layer"])
+    # each state's CSV is written as it is solved; only its summary and plot data stay
+    summary, series = [], []
+    while (gs := stages.run("groundstate", lambda: next(states, None))) is not None:
         gs.to_csv(os.path.join(out, f"groundstate_d{d}_eps{gs.eps:g}.csv"))
         summary.append((f"energy_eps{gs.eps:g}", energy(gs)))
         summary.append((f"residual_eps{gs.eps:g}", _format_residual(gs.residual_max)))
+        summary.append((f"newton_floor_exit_eps{gs.eps:g}", _floor_exit(gs)))
+        if plots:
+            series.append((f"eta eps={gs.eps:g}", gs.grid.nodes, gs.eta))
     _write_summary(os.path.join(out, "summary.txt"), summary)
     if plots:
-        series = [(f"eta eps={gs.eps:g}", gs.grid.nodes, gs.eta) for gs in states]
         _svg_plot(os.path.join(out, "groundstate.svg"), f"Ground states, d={d}", series)
 
 

@@ -11,15 +11,14 @@ boundary value of the nu_1 solve; every other right end is 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
 import numpy as np
 
 from ._io import write_csv
-from .grids import UniformSpline, first_difference, second_difference, solve_tridiagonal
-from .painleve import PainleveSolution, layer_operator
+from .grids import UniformSpline, first_difference, record, second_difference, solve_tridiagonal
+from .painleve import PainleveSolution, assemble_M0
 
 # far-field exponent of nu_n y^(beta - 2n): beta = -5/2 in d = 1 where the
 # leading forcing cancels, beta = 1/2 otherwise
@@ -30,7 +29,7 @@ _FIT_WINDOW = (25.0, 40.0)
 _FIT_FLOOR = 1e-11
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class CorrectionSet:
     """Layer expansion nu_0 + sum eps^(2n/3) nu_n of one dimension.
 
@@ -42,13 +41,6 @@ class CorrectionSet:
     dimension: int
     terms: tuple
     forcings: tuple
-
-    def __post_init__(self):
-        for name in ("terms", "forcings"):
-            arrs = tuple(np.asarray(a, dtype=float) for a in getattr(self, name))
-            for a in arrs:
-                a.setflags(write=False)
-            object.__setattr__(self, name, arrs)
 
     @property
     def order(self) -> int:
@@ -165,7 +157,7 @@ def build_corrections(sol: PainleveSolution, dimension: int, order: int = 2) -> 
     check_expansion(dimension, order)
     beta = TAIL_EXPONENTS[dimension]
     h = sol.grid.spacing
-    m0 = layer_operator(h, sol.w0[1:-1])
+    m0 = assemble_M0(sol)
     terms = []
     forcings = []
     for n in range(1, order + 1):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,7 +46,39 @@ class SingularPivotError(ValueError):
         super().__init__(f"singular pivot at elimination index {index}")
 
 
-@dataclass(frozen=True, eq=False)
+# record field annotations, as strings (postponed evaluation) or types: True for a tuple of arrays
+_ARRAY_FIELDS = {"np.ndarray": False, np.ndarray: False, "tuple": True, tuple: True}
+
+
+def record(cls):
+    """Declare a result record: a frozen dataclass compared by identity, its arrays read-only.
+
+    Each field annotated ``np.ndarray``, and each entry of a field annotated
+    ``tuple``, is stored as ``np.asarray(value, dtype=float)``.  The class's
+    own ``__post_init__`` checks then run on those arrays; only when they pass
+    are the arrays made read-only, so a rejected input stays writable.
+    """
+    checks = cls.__dict__.get("__post_init__")
+
+    def __post_init__(self):
+        frozen = []
+        for name, many in arrays:
+            value = getattr(self, name)
+            arrs = [np.asarray(v, dtype=float) for v in (value if many else (value,))]
+            object.__setattr__(self, name, tuple(arrs) if many else arrs[0])
+            frozen += arrs
+        if checks is not None:
+            checks(self)
+        for arr in frozen:
+            arr.setflags(write=False)
+
+    cls.__post_init__ = __post_init__
+    cls = dataclass(frozen=True, eq=False)(cls)
+    arrays = [(f.name, _ARRAY_FIELDS[f.type]) for f in fields(cls) if f.type in _ARRAY_FIELDS]
+    return cls
+
+
+@record
 class Grid1D:
     """Uniform one-dimensional grid with nodes in increasing order.
 
@@ -59,7 +91,7 @@ class Grid1D:
     spacing: float = field(init=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = self.nodes
         if nodes.ndim != 1 or nodes.size < 3:
             raise ValueError(f"need at least 3 nodes in one dimension, got shape {nodes.shape}")
         steps = np.diff(nodes)
@@ -69,8 +101,6 @@ class Grid1D:
         slack = 64.0 * np.finfo(float).eps * float(np.abs(nodes).max())
         if np.any(np.abs(steps - steps[0]) > slack):
             raise ValueError("grid nodes must be uniformly spaced")
-        nodes.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "spacing", float(steps[0]))
 
     @property
@@ -92,7 +122,7 @@ def uniform_grid(a: float, b: float, n: int) -> Grid1D:
     return Grid1D(np.linspace(a, b, n))
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class TridiagonalOperator:
     """Tridiagonal matrix stored by bands."""
 
@@ -101,19 +131,11 @@ class TridiagonalOperator:
     sup: np.ndarray
 
     def __post_init__(self):
-        sub = np.asarray(self.sub, dtype=float)
-        diag = np.asarray(self.diag, dtype=float)
-        sup = np.asarray(self.sup, dtype=float)
-        n = diag.size
-        if sub.size != n - 1 or sup.size != n - 1:
+        n = self.diag.size
+        if self.sub.size != n - 1 or self.sup.size != n - 1:
             raise ValueError(
-                f"band lengths {sub.size}/{diag.size}/{sup.size} do not form a tridiagonal matrix"
+                f"band lengths {self.sub.size}/{n}/{self.sup.size} do not form a tridiagonal matrix"
             )
-        for arr in (sub, diag, sup):
-            arr.setflags(write=False)
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "sup", sup)
 
     @property
     def n(self) -> int:

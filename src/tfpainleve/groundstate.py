@@ -11,13 +11,12 @@ coordinate; comparing the two at shrinking eps measures the remainder order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._io import write_csv
 from .corrections import CorrectionSet, check_dimension, composite_nu, loglog_slope
-from .grids import (Grid1D, TridiagonalOperator, first_difference, to_boundary_layer,
+from .grids import (Grid1D, TridiagonalOperator, first_difference, record, to_boundary_layer,
                     uniform_grid)
 from .painleve import ConvergenceError, damped_newton, tail_minus
 
@@ -25,7 +24,7 @@ _MAX_ITERATIONS = 60
 _NEGATIVE_SLACK = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class GroundState:
     """Converged radial profile for one (eps, dimension) pair."""
 
@@ -37,12 +36,6 @@ class GroundState:
     tol: float
     newton_iterations: int
     composite: np.ndarray  # the composite approximation on the nodes, the Newton seed
-
-    def __post_init__(self):
-        for name in ("eta", "composite"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     def to_csv(self, path) -> None:
         write_csv(path, ["r", "eta", "composite", "abs_diff"],
@@ -218,7 +211,7 @@ def composite_eta(cset: CorrectionSet, eps: float, x) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class RemainderTable:
     """sup-norm error of the composite approximation over a ladder of eps."""
 

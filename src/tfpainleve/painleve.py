@@ -4,24 +4,22 @@ The layer profile nu0 solves 4 nu'' + y nu - nu^3 = 0, grows like sqrt(y) on
 the right, and decays to zero through an Airy-type tail on the left.  This
 module computes its asymptotic series, solves the two-point problem by damped
 Newton iteration, and evaluates the linearization potential W0 = 3 nu0^2 - y.
-``layer_operator`` assembles -4 D2 + w, the Newton Jacobian here and, with
-w = W0, the operator M0 of the correction ladder and the spectrum; the
-``damped_newton`` kernel also serves the ground-state solve.
+``layer_operator`` assembles -4 D2 + w, the Newton Jacobian here and, as
+``assemble_M0`` with w = W0, the operator M0 of the correction ladder and the
+spectrum; the ``damped_newton`` kernel also serves the ground-state solve.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from ._io import write_csv
-from .grids import (
-    Grid1D, TridiagonalOperator, UniformSpline, first_difference, solve_tridiagonal, uniform_grid,
-)
+from .grids import (Grid1D, TridiagonalOperator, UniformSpline, first_difference, record,
+                    solve_tridiagonal, uniform_grid)
 
 
 class ConvergenceError(RuntimeError):
@@ -166,7 +164,7 @@ def tail_minus(y):
     return val if val.ndim else float(val)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class PainleveSolution:
     """Converged layer profile on its grid, with derivative and W0 samples."""
 
@@ -177,12 +175,6 @@ class PainleveSolution:
     residual_max: float
     tol: float
     newton_iterations: int
-
-    def __post_init__(self):
-        for name in ("nu0", "dnu0", "w0"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @cached_property
     def _nu0_spline(self) -> UniformSpline:
@@ -214,6 +206,11 @@ def layer_operator(h: float, w: np.ndarray) -> TridiagonalOperator:
     w = np.asarray(w, dtype=float)
     off = np.full(w.size - 1, -4.0 / h**2)
     return TridiagonalOperator(off, 8.0 / h**2 + w, off)
+
+
+def assemble_M0(sol: PainleveSolution) -> TridiagonalOperator:
+    """Dirichlet discretization of M0 = -4 d^2/dy^2 + W0 on the interior layer nodes."""
+    return layer_operator(sol.grid.spacing, sol.w0[1:-1])
 
 
 def _newton_residual(inner, y, h, left, right):

@@ -12,12 +12,11 @@ well brackets every node, and the top of the certified range every level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grids import UniformSpline
+from .grids import UniformSpline, record
 from .painleve import ConvergenceError, PainleveSolution
 
 _GL_NODES = 64
@@ -28,7 +27,7 @@ _EPS = float(np.finfo(float).eps)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True, eq=False)  # field-wise == on the scan arrays would be ambiguous
+@record
 class PotentialProfile:
     """Single-well W, certified monotone on each side of its minimum by the scan ws = W(ys)."""
 

@@ -15,20 +15,18 @@ scaling study tabulates lambda / eps^(2/3) against mu_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._io import write_csv
 from .corrections import CorrectionSet
-from .grids import TridiagonalOperator, lapack
+from .grids import TridiagonalOperator, lapack, record
 from .groundstate import GroundState, ground_state_ladder, trap_operator
-from .painleve import ConvergenceError, PainleveSolution, layer_operator
+from .painleve import ConvergenceError, assemble_M0  # noqa: F401 - also importable from here
 
 _POSITIVE_TAGS = ("M0", "LplusNeumann", "LplusDirichlet")
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class SpectrumReport:
     """Smallest eigenvalues of one operator with their eigenvectors.
 
@@ -40,15 +38,11 @@ class SpectrumReport:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
+        ev = self.eigenvalues
         if np.any(np.diff(ev) <= 0.0):
             raise ValueError("eigenvalues must be strictly increasing (simple spectrum)")
         if self.operator in _POSITIVE_TAGS and ev[0] <= 0.0:
             raise ValueError(f"{self.operator} must be positive definite, got lambda_1 = {ev[0]:.3e}")
-        for name, arr in (("eigenvalues", ev), ("eigenvectors", self.eigenvectors)):
-            arr = np.asarray(arr, dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 def check_d1(dimension: int) -> None:
@@ -57,11 +51,6 @@ def check_d1(dimension: int) -> None:
         raise ValueError(
             f"the spectrum is d = 1 only: L+ needs a d=1 profile, got dimension {dimension}"
         )
-
-
-def assemble_M0(sol: PainleveSolution) -> TridiagonalOperator:
-    """Dirichlet discretization of -4 d^2/dy^2 + W0 on the interior layer nodes."""
-    return layer_operator(sol.grid.spacing, sol.w0[1:-1])
 
 
 def assemble_Lplus(gs: GroundState, bc: str) -> TridiagonalOperator:
@@ -156,7 +145,7 @@ def eig_smallest(op: TridiagonalOperator, k: int, label: str = "generic") -> Spe
     return SpectrumReport(operator=label, eigenvalues=evals, eigenvectors=vecs)
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class ScalingTable:
     """Half-line eigenvalue pairs over an eps ladder against the M0 limits.
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfpainleve import (bs_eigenvalue, build_corrections, from_solution, scaling_study,
-                        solve_ground_state, solve_hastings_mcleod)
+from tfpainleve import (ConvergenceError, bs_eigenvalue, build_corrections, from_solution,
+                        scaling_study, solve_ground_state, solve_hastings_mcleod)
+from tfpainleve import groundstate
 from tfpainleve.cli import ConfigError, _DEFAULTS, load_config, main, validate_config
 from tfpainleve.groundstate import ground_state_ladder
 
@@ -243,6 +244,56 @@ def test_summary_residuals_have_two_digits(tmp_path):
         assert re.fullmatch(r"\d\.\de[+-]\d+", value), (key, value)
         tol = _DEFAULTS["tol"] if key == "residual_max" else _DEFAULTS["gs_tol"]
         assert float(value) <= tol, (key, value)
+
+
+@pytest.mark.parametrize("n_nodes, flag", [(6001, "0"), (120001, "1")])
+def test_painleve_summary_flags_a_newton_floor_exit(n_nodes, flag, tmp_path):
+    # at 120,001 nodes the rounding floor ~eps_mach |nu| / h^2 lies above tol = 1e-10
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n_nodes = {n_nodes}\n")
+    assert main(["painleve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    summary = read_summary(tmp_path / "out" / "summary.txt")
+    assert summary["newton_floor_exit"] == flag
+    assert (float(summary["residual_max"]) > _DEFAULTS["tol"]) == (flag == "1")
+
+
+@pytest.mark.parametrize("gs_tol, flag", [(1e-8, "0"), (1e-13, "1")])
+def test_groundstate_summary_flags_a_newton_floor_exit(gs_tol, flag, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"eps = 0.1\nnodes_per_layer = 160\ngs_tol = {gs_tol}\n")
+    assert main(["groundstate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    summary = read_summary(tmp_path / "out" / "summary.txt")
+    assert summary["newton_floor_exit_eps0.1"] == flag
+    assert (float(summary["residual_eps0.1"]) > gs_tol) == (flag == "1")
+
+
+def test_groundstate_solve_failure_keeps_the_earlier_csvs(tmp_path, capsys, monkeypatch):
+    real = groundstate.solve_ground_state
+
+    def fail_second(eps, cset, **kwargs):
+        if eps < 0.1:
+            raise ConvergenceError(f"no state at eps={eps:g}")
+        return real(eps, cset, **kwargs)
+
+    monkeypatch.setattr(groundstate, "solve_ground_state", fail_second)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.1, 0.05\nnodes_per_layer = 24\n")
+    out = tmp_path / "out"
+    assert main(["groundstate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "stage groundstate failed: no state at eps=0.05" in capsys.readouterr().err
+    assert (out / "groundstate_d1_eps0.1.csv").is_file()
+    assert not (out / "groundstate_d1_eps0.05.csv").exists()
+    assert not (out / "summary.txt").exists()
+
+
+def test_groundstate_write_failure_is_stage_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "groundstate_d1_eps0.05.csv").mkdir(parents=True)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.1, 0.05\nnodes_per_layer = 24\n")
+    assert main(["groundstate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "stage output failed" in capsys.readouterr().err
+    assert (out / "groundstate_d1_eps0.1.csv").is_file()
 
 
 def test_main_stage_failure_is_exit_2(tmp_path, capsys):

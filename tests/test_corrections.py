@@ -16,7 +16,7 @@ from tfpainleve import (
     solve_hastings_mcleod,
     tail_fit_window,
 )
-from tfpainleve import corrections
+from tfpainleve import painleve
 from tfpainleve.corrections import TAIL_EXPONENTS, interaction_triples, loglog_slope
 
 
@@ -56,13 +56,13 @@ def test_first_forcing_is_the_order_one_case_of_assemble_Fn(sol, d):
 
 def test_ladder_assembles_m0_once(sol, monkeypatch):
     calls = []
-    real = corrections.layer_operator
+    real = painleve.layer_operator
 
     def spy(h, w):
         calls.append(h)
         return real(h, w)
 
-    monkeypatch.setattr(corrections, "layer_operator", spy)
+    monkeypatch.setattr(painleve, "layer_operator", spy)
     cset = build_corrections(sol, 3, order=3)
     assert cset.order == 3 and calls == [sol.grid.spacing]
 

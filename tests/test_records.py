@@ -1,12 +1,17 @@
-"""Result records compare by identity: == answers, and never compares array fields."""
+"""Result records compare by identity (== answers, and never compares array fields) and
+hold their arrays as read-only float64."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from tfpainleve import (
+    Grid1D,
     TridiagonalOperator,
     build_corrections,
     eig_smallest,
+    from_solution,
     remainder_study,
     scaling_study,
     solve_ground_state,
@@ -29,6 +34,7 @@ _BUILDERS = {
     "ScalingTable": lambda cset: scaling_study(cset, (0.1,), (2.41,), n_pairs=1,
                                                nodes_per_layer=20),
     "SpectrumReport": lambda cset: eig_smallest(_operator(), 1),
+    "PotentialProfile": lambda cset: from_solution(cset.profile),
 }
 
 
@@ -38,3 +44,32 @@ def test_records_compare_by_identity(name, cset1):
     assert type(first).__name__ == name
     assert first == first
     assert (first == second) is False
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
+def test_record_arrays_are_read_only_floats(name, cset1):
+    rec = _BUILDERS[name](cset1)
+    arrays = []
+    for f in fields(rec):
+        value = getattr(rec, f.name)
+        if f.type == "np.ndarray":
+            arrays.append(value)
+        elif f.type == "tuple":
+            assert isinstance(value, tuple) and value, f.name
+            arrays.extend(value)
+    assert arrays, f"{name} declares no array field"
+    for arr in arrays:
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+
+
+def test_rejected_record_leaves_the_callers_array_writable():
+    # the checks run before the arrays are frozen
+    nodes = np.array([0.0, 0.1, 0.3, 0.4])
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        Grid1D(nodes)
+    assert nodes.flags.writeable
+    nodes[2:] = (0.2, 0.3)
+    assert Grid1D(nodes).nodes is nodes and not nodes.flags.writeable
