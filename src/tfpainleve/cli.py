@@ -40,19 +40,15 @@ _DEFAULTS = {
     "tol": 1e-10,
     "gs_tol": 1e-8,
     "nodes_per_layer": 40,
-    "r_max": 2.5,
     "n_pairs": 3,
     "bs_levels": (1, 2, 3, 4, 5, 6, 7, 8),
-    "out_dir": None,
 }
 
 
 def _parse_value(key: str, raw: str):
-    """``raw`` as the type of the key's default: a tuple is a comma list, None is text."""
+    """``raw`` as the type of the key's default: a tuple is a comma list."""
     default = _DEFAULTS[key]
     try:
-        if default is None:
-            return raw
         if isinstance(default, tuple):
             return tuple(type(default[0])(p) for p in raw.split(",") if p.strip())
         return type(default)(raw)
@@ -101,7 +97,7 @@ def validate_config(cfg: dict, command: str | None = None) -> None:
             check_d1(cfg["dimension"])
         check_window(cfg["y_min"], cfg["y_max"], cfg["n_nodes"])
         for eps in eps_ladder(cfg["eps"]):
-            check_ground_state(eps, cfg["dimension"], cfg["r_max"], cfg["nodes_per_layer"])
+            check_ground_state(eps, cfg["dimension"], cfg["nodes_per_layer"], cfg["y_max"])
         check_levels(cfg["bs_levels"])
         for key in ("tol", "gs_tol"):
             check_tol(cfg[key], key)
@@ -256,7 +252,7 @@ def cmd_groundstate(cfg, out, plots, stages) -> None:
     d = cfg["dimension"]
     sol = stages.run("painleve", lambda: _solve_painleve(cfg))
     cset = stages.run("corrections", lambda: build_corrections(sol, d, order=cfg["order"]))
-    states = ground_state_ladder(cset, cfg["eps"], tol=cfg["gs_tol"], r_max=cfg["r_max"],
+    states = ground_state_ladder(cset, cfg["eps"], tol=cfg["gs_tol"],
                                  nodes_per_layer=cfg["nodes_per_layer"])
     # each state's CSV is written as it is solved; only its summary and plot data stay
     summary, series = [], []
@@ -417,11 +413,10 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 
-    out = cfg["out_dir"] or args.out
     stages = _Stages()
     try:
-        os.makedirs(out, exist_ok=True)
-        _COMMANDS[args.command](cfg, out, args.plots, stages)
+        os.makedirs(args.out, exist_ok=True)
+        _COMMANDS[args.command](cfg, args.out, args.plots, stages)
     except Exception as exc:  # noqa: BLE001 - every stage failure maps to exit 2
         stage = stages.current or "setup"
         print(f"stage {stage} failed: {exc}", file=sys.stderr)

@@ -56,7 +56,9 @@ def record(cls):
     Each field annotated ``np.ndarray``, and each entry of a field annotated
     ``tuple``, is stored as ``np.asarray(value, dtype=float)``.  The class's
     own ``__post_init__`` checks then run on those arrays; only when they pass
-    are the arrays made read-only, so a rejected input stays writable.
+    are the arrays made read-only, so a rejected input stays writable.  A
+    float64 array is kept without a copy, so an accepted record makes the
+    caller's array read-only: pass a copy to keep writing to it.
     """
     checks = cls.__dict__.get("__post_init__")
 

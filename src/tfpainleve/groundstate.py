@@ -42,9 +42,14 @@ class GroundState:
                   [self.grid.nodes, self.eta, self.composite, np.abs(self.eta - self.composite)])
 
 
-def default_grid(eps: float, r_max: float = 2.5, nodes_per_layer: int = 40) -> Grid1D:
-    """Uniform radial grid resolving the eps^(2/3) layer with the requested density."""
+def default_grid(eps: float, nodes_per_layer: int = 40) -> Grid1D:
+    """The trap grid: uniform on [0, r_max], r_max = max(2.5, 1 + 6 eps^(2/3)).
+
+    r_max lies past the decay region beyond r = 1; each layer width eps^(2/3)
+    gets ``nodes_per_layer`` nodes, and the grid at least 201.
+    """
     width = eps ** (2.0 / 3.0)
+    r_max = max(2.5, 1.0 + 6.0 * width)
     n = max(int(math.ceil(r_max * nodes_per_layer / width)) + 1, 201)
     return uniform_grid(0.0, r_max, n)
 
@@ -81,11 +86,13 @@ def _residual(eta, r, h, eps, d):
     return res
 
 
-def check_ground_state(eps: float, dimension: int, r_max: float, nodes_per_layer: int) -> None:
+def check_ground_state(eps: float, dimension: int, nodes_per_layer: int, y_max: float) -> None:
     """ValueError unless ``solve_ground_state`` takes these inputs.
 
     A positive state exists only for eps * dimension < 1.  At 20 or more
     nodes per layer width, ``default_grid`` resolves the eps^(2/3) layer.
+    The composite reaches the centre r = 0, at y = eps^(-2/3), only if the
+    profile grid end ``y_max`` lies beyond it.
     """
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps values must lie in (0, 0.5], got {eps}")
@@ -96,31 +103,29 @@ def check_ground_state(eps: float, dimension: int, r_max: float, nodes_per_layer
         )
     if nodes_per_layer < 20:
         raise ValueError(f"nodes_per_layer must be at least 20, got {nodes_per_layer}")
-    if not (math.isfinite(r_max) and r_max >= 2.0):
-        raise ValueError(f"r_max must be finite and at least 2, got {r_max}")
+    y_centre = to_boundary_layer(0.0, eps)
+    if not y_centre <= y_max:
+        raise ValueError(f"eps={eps:g} maps r = 0 to y = {y_centre:.2f}, beyond the profile "
+                         f"grid end y_max = {y_max:g}")
 
 
 def solve_ground_state(
     eps: float,
     cset: CorrectionSet,
     tol: float = 1e-8,
-    r_max: float = 2.5,
     nodes_per_layer: int = 40,
 ) -> GroundState:
     """Damped-Newton solve for the positive radial profile, seeded with the composite.
 
     The dimension is that of ``cset``; ``check_ground_state`` states the
-    accepted inputs.  The grid is ``default_grid`` on
-    [0, max(r_max, 1 + 6 eps^(2/3))], so it reaches past the decay region
-    beyond r = 1; the profile vanishes at its end.  The initial guess is the
-    composite approximation of ``cset``, kept on all nodes as the result's
-    ``composite``; each Newton step solves with ``trap_operator``, the
-    operator L+ at the iterate.
+    accepted inputs.  The grid is ``default_grid``; the profile vanishes at its
+    end.  The initial guess is the composite approximation of ``cset``, kept on
+    all nodes as the result's ``composite``; each Newton step solves with
+    ``trap_operator``, the operator L+ at the iterate.
     """
     dimension = cset.dimension
-    check_ground_state(eps, dimension, r_max, nodes_per_layer)
-    grid = default_grid(eps, r_max=max(r_max, 1.0 + 6.0 * eps ** (2.0 / 3.0)),
-                        nodes_per_layer=nodes_per_layer)
+    check_ground_state(eps, dimension, nodes_per_layer, cset.profile.grid.b)
+    grid = default_grid(eps, nodes_per_layer)
     h = grid.spacing
     r = grid.nodes
 

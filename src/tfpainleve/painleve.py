@@ -115,7 +115,7 @@ def bn_coefficients(terms: int) -> np.ndarray:
 
 
 def tail_plus(y, coefficients: np.ndarray):
-    """Right-tail value and derivative of the layer profile at y > 0.
+    """Right-tail value of the layer profile at y > 0, a float for a scalar y.
 
     ``coefficients`` are the b_n of ``bn_coefficients``.
 
@@ -126,14 +126,12 @@ def tail_plus(y, coefficients: np.ndarray):
     if np.any(y <= 0.0):
         raise ValueError("tail_plus is defined for y > 0 only")
     val = np.zeros_like(y)
-    dval = np.zeros_like(y)
     prev = None
     growing = False
     for n, bn in enumerate(coefficients):
         c = bn * 2.0 ** (-1.5 * n)
         term = c * y ** ((1 - 3 * n) / 2.0)
         val += term
-        dval += c * ((1 - 3 * n) / 2.0) * y ** (-(1 + 3 * n) / 2.0)
         mag = np.max(np.abs(term)) if term.ndim else abs(term)
         if bn != 0.0:
             if prev is not None and mag > prev:
@@ -142,9 +140,7 @@ def tail_plus(y, coefficients: np.ndarray):
     if growing:
         warnings.warn("tail series terms are not decreasing at the requested y; "
                       "the asymptotic expansion is unreliable there")
-    if val.ndim:
-        return val, dval
-    return float(val), float(dval)
+    return val if val.ndim else float(val)
 
 
 def tail_minus(y):
@@ -251,7 +247,7 @@ def solve_hastings_mcleod(
     y = grid.nodes
     h = grid.spacing
     left = float(tail_minus(y_min))
-    right, _ = tail_plus(y_max, bn_coefficients(_SERIES_TERMS))
+    right = tail_plus(y_max, bn_coefficients(_SERIES_TERMS))
 
     nu = np.sqrt((y + np.sqrt(y * y + 4.0)) / 2.0)
     inner, rnorm, iterations = damped_newton(

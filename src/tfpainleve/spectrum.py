@@ -21,7 +21,7 @@ from ._io import write_csv
 from .corrections import CorrectionSet
 from .grids import TridiagonalOperator, lapack, record
 from .groundstate import GroundState, ground_state_ladder, trap_operator
-from .painleve import ConvergenceError, assemble_M0  # noqa: F401 - also importable from here
+from .painleve import ConvergenceError
 
 _POSITIVE_TAGS = ("M0", "LplusNeumann", "LplusDirichlet")
 

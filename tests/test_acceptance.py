@@ -61,7 +61,7 @@ def test_criterion_02_layer_potential_minimum_positive_and_grid_stable(sol):
 
 def test_criterion_03_tail_coefficients_and_partial_sum_error(sol):
     np.testing.assert_array_equal(bn_coefficients(3), [1.0, 0.0, -4.0, 0.0])
-    partial, _ = tail_plus(40.0, bn_coefficients(4))
+    partial = tail_plus(40.0, bn_coefficients(4))
     # b_5 = 0, so the first omitted term in the partial sum is the b_6 one
     b6 = bn_coefficients(6)[6]
     omitted = abs(b6) * np.sqrt(40.0) * 80.0 ** (-9.0)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 
@@ -10,7 +11,7 @@ from tfpainleve import (ConvergenceError, bs_eigenvalue, build_corrections, from
                         scaling_study, solve_ground_state, solve_hastings_mcleod)
 from tfpainleve import groundstate
 from tfpainleve.cli import ConfigError, _DEFAULTS, load_config, main, validate_config
-from tfpainleve.groundstate import ground_state_ladder
+from tfpainleve.groundstate import default_grid, ground_state_ladder
 
 
 def read_summary(path):
@@ -27,6 +28,27 @@ def test_load_config_defaults():
     assert cfg is not _DEFAULTS  # caller may mutate its copy
 
 
+@pytest.mark.parametrize(
+    ("key", "function", "parameter"),
+    [
+        ("y_min", solve_hastings_mcleod, "y_min"),
+        ("y_max", solve_hastings_mcleod, "y_max"),
+        ("n_nodes", solve_hastings_mcleod, "n_nodes"),
+        ("tol", solve_hastings_mcleod, "tol"),
+        ("gs_tol", solve_ground_state, "tol"),
+        ("gs_tol", scaling_study, "gs_tol"),
+        ("nodes_per_layer", solve_ground_state, "nodes_per_layer"),
+        ("nodes_per_layer", scaling_study, "nodes_per_layer"),
+        ("nodes_per_layer", default_grid, "nodes_per_layer"),
+        ("order", build_corrections, "order"),
+        ("n_pairs", scaling_study, "n_pairs"),
+    ],
+)
+def test_cli_default_is_the_library_default(key, function, parameter):
+    # each default is written twice, in _DEFAULTS and in a signature
+    assert _DEFAULTS[key] == inspect.signature(function).parameters[parameter].default
+
+
 def test_load_config_overrides(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
@@ -36,14 +58,12 @@ def test_load_config_overrides(tmp_path):
         "eps = 0.2, 0.1\n"
         "bs_levels = 2,4\n"
         "tol = 1e-9\n"
-        "out_dir = results\n"
     )
     cfg = load_config(str(path))
     assert cfg["dimension"] == 3
     assert cfg["eps"] == (0.2, 0.1)
     assert cfg["bs_levels"] == (2, 4)
     assert cfg["tol"] == 1e-9
-    assert cfg["out_dir"] == "results"
     assert cfg["n_nodes"] == _DEFAULTS["n_nodes"]
 
 
@@ -79,7 +99,7 @@ def test_load_config_errors(tmp_path):
         ("n_nodes", 100, "n_nodes"),
         ("tol", 0.0, "positive"),
         ("nodes_per_layer", 5, "nodes_per_layer"),
-        ("r_max", 1.0, "r_max"),
+        ("eps", (0.003,), "beyond the profile grid end y_max = 40"),
         ("n_pairs", 0, "n_pairs"),
         ("bs_levels", (), "bs_levels"),
         ("bs_levels", (0, 2), "bs_levels"),
@@ -110,7 +130,7 @@ def test_validate_config_rejects(key, value, fragment):
         ("y_max", 20.0, lambda sol, cset: solve_hastings_mcleod(y_max=20.0)),
         ("n_nodes", 100, lambda sol, cset: solve_hastings_mcleod(n_nodes=100)),
         ("nodes_per_layer", 5, lambda sol, cset: solve_ground_state(0.1, cset, nodes_per_layer=5)),
-        ("r_max", 1.0, lambda sol, cset: solve_ground_state(0.1, cset, r_max=1.0)),
+        ("eps", (0.003,), lambda sol, cset: solve_ground_state(0.003, cset)),
         ("bs_levels", (0, 2), lambda sol, cset: bs_eigenvalue(from_solution(sol), (0, 2))),
     ],
 )
@@ -158,7 +178,7 @@ def test_main_bad_config_is_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line", ["gs_tol = inf", "y_min = nan", "y_max = inf", "r_max = inf", "tol = inf"]
+    "line", ["gs_tol = inf", "y_min = nan", "y_max = inf", "tol = inf"]
 )
 def test_main_non_finite_value_is_exit_1(line, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -211,17 +231,10 @@ def test_main_painleve(tmp_path):
 
 
 def test_main_groundstate_d2_honors_out_dir(tmp_path):
-    target = tmp_path / "from_config"
+    target = tmp_path / "out"
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "dimension = 2\n"
-        "eps = 0.1, 0.05\n"
-        "nodes_per_layer = 24\n"
-        f"out_dir = {target}\n"
-    )
-    rc = main(["groundstate", "--config", str(cfg), "--out", str(tmp_path / "ignored")])
-    assert rc == 0
-    assert not (tmp_path / "ignored").exists()
+    cfg.write_text("dimension = 2\neps = 0.1, 0.05\nnodes_per_layer = 24\n")
+    assert main(["groundstate", "--config", str(cfg), "--out", str(target)]) == 0
     for eps in ("0.1", "0.05"):
         lines = (target / f"groundstate_d2_eps{eps}.csv").read_text().splitlines()
         assert lines[0] == "r,eta,composite,abs_diff"

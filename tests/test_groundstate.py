@@ -134,13 +134,6 @@ def test_solve_validation(cset1, cset3):
         solve_ground_state(1.0 / 3.0, cset3)
 
 
-@pytest.mark.parametrize("r_max", [1.0, -3.0, np.inf, np.nan])
-def test_solve_rejects_r_max_outside_its_rule(cset1, r_max):
-    # the library once solved r_max = -3 on [0, 2.29] and overflowed on inf
-    with pytest.raises(ValueError, match="r_max"):
-        solve_ground_state(0.1, cset1, r_max=r_max)
-
-
 def test_solve_rejects_too_few_nodes_per_layer_at_large_eps(cset1):
     # at eps = 0.5 the 201-node floor of default_grid hid 5 nodes per layer
     with pytest.raises(ValueError, match="nodes_per_layer"):
