@@ -302,22 +302,23 @@ def _scaling_plot(path, table, n_pairs) -> None:
     _svg_plot(path, "Scaled eigenvalues vs eps", series)
 
 
+def _scaling(cfg, sol, cset, k, stages):
+    """Stage "scaling": (the k smallest M0 eigenvalues mu, the scaled L+ table of ``cset``)."""
+    def run():
+        mu = _m0_eigenvalues(sol, k)
+        return mu, scaling_study(cset, cfg["eps"], mu, n_pairs=cfg["n_pairs"],
+                                 nodes_per_layer=cfg["nodes_per_layer"], gs_tol=cfg["gs_tol"])
+
+    return stages.run("scaling", run)
+
+
 def cmd_spectrum(cfg, out, plots, stages) -> None:
     sol = stages.run("painleve", lambda: _solve_painleve(cfg))
     cset = stages.run("corrections", lambda: build_corrections(sol, 1, order=cfg["order"]))
-    table = stages.run(
-        "scaling",
-        lambda: scaling_study(
-            cset, cfg["eps"], _m0_eigenvalues(sol, cfg["n_pairs"]), n_pairs=cfg["n_pairs"],
-            nodes_per_layer=cfg["nodes_per_layer"], gs_tol=cfg["gs_tol"],
-        ),
-    )
+    mu, table = _scaling(cfg, sol, cset, cfg["n_pairs"], stages)
     table.to_csv(os.path.join(out, "spectrum.csv"))
-    mu = table.mu[: cfg["n_pairs"]]
-    _write_summary(
-        os.path.join(out, "summary.txt"),
-        [(f"mu_{i + 1}", float(m)) for i, m in enumerate(mu)],
-    )
+    _write_summary(os.path.join(out, "summary.txt"),
+                   [(f"mu_{i + 1}", float(m)) for i, m in enumerate(mu)])
     if plots:
         _scaling_plot(os.path.join(out, "spectrum.svg"), table, cfg["n_pairs"])
 
@@ -350,17 +351,8 @@ def cmd_study(cfg, out, plots, stages) -> None:
         "corrections", lambda: build_corrections(sol, 1, order=order)
     )
     levels = _bs_levels(cfg)
-
-    def scaling_table():
-        # one M0 solve serves both the scaling table and the Bohr-Sommerfeld table
-        mu = _m0_eigenvalues(sol, max(cfg["n_pairs"], levels[-1]))
-        table = scaling_study(
-            cset1, cfg["eps"], mu, n_pairs=cfg["n_pairs"],
-            nodes_per_layer=cfg["nodes_per_layer"], gs_tol=cfg["gs_tol"],
-        )
-        return mu, table
-
-    mu, scaling = stages.run("scaling", scaling_table)
+    # one M0 solve serves both the scaling table and the Bohr-Sommerfeld table
+    mu, scaling = _scaling(cfg, sol, cset1, max(cfg["n_pairs"], levels[-1]), stages)
     scaling.to_csv(os.path.join(out, "scaling.csv"))
     _bs_table(sol, levels, mu, out, stages)
     _write_summary(

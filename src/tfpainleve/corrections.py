@@ -17,7 +17,8 @@ from itertools import product
 import numpy as np
 
 from ._io import write_csv
-from .grids import UniformSpline, first_difference, record, second_difference, solve_tridiagonal
+from .grids import (UniformSpline, check_eps, first_difference, record, second_difference,
+                    solve_tridiagonal)
 from .painleve import PainleveSolution, assemble_M0
 
 # far-field exponent of nu_n y^(beta - 2n): beta = -5/2 in d = 1 where the
@@ -178,8 +179,7 @@ def composite_nu(cset: CorrectionSet, eps: float, y):
     Evaluation is by cubic interpolation of the stored samples; y must lie
     inside the profile grid.
     """
-    if not 0.0 < eps:
-        raise ValueError(f"eps must be positive, got {eps}")
+    check_eps(eps)
     cset.profile._require_inside(y)
     total, *terms = cset._spline(y)
     for n, term in enumerate(terms, start=1):

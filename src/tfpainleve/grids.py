@@ -281,10 +281,15 @@ def first_difference(values: np.ndarray, grid: Grid1D) -> np.ndarray:
     return out
 
 
+def check_eps(eps: float) -> None:
+    """ValueError unless eps, the scale of the layer map, is finite and positive."""
+    if not 0.0 < eps < np.inf:  # NaN fails this too
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+
+
 def to_boundary_layer(x, eps: float):
     """Map trap coordinate x to the stretched layer coordinate y = (1 - x^2) / eps^(2/3)."""
-    if not 0.0 < eps:
-        raise ValueError(f"eps must be positive, got {eps}")
+    check_eps(eps)
     x = np.asarray(x, dtype=float)
     y = (1.0 - x * x) / eps ** (2.0 / 3.0)
     return y if y.ndim else float(y)

@@ -16,8 +16,8 @@ import numpy as np
 
 from ._io import write_csv
 from .corrections import CorrectionSet, check_dimension, composite_nu, loglog_slope
-from .grids import (Grid1D, TridiagonalOperator, first_difference, record, to_boundary_layer,
-                    uniform_grid)
+from .grids import (Grid1D, TridiagonalOperator, check_eps, first_difference, record,
+                    to_boundary_layer, uniform_grid)
 from .painleve import ConvergenceError, damped_newton, tail_minus
 
 _MAX_ITERATIONS = 60
@@ -48,6 +48,7 @@ def default_grid(eps: float, nodes_per_layer: int = 40) -> Grid1D:
     r_max lies past the decay region beyond r = 1; each layer width eps^(2/3)
     gets ``nodes_per_layer`` nodes, and the grid at least 201.
     """
+    check_eps(eps)
     width = eps ** (2.0 / 3.0)
     r_max = max(2.5, 1.0 + 6.0 * width)
     n = max(int(math.ceil(r_max * nodes_per_layer / width)) + 1, 201)

@@ -379,6 +379,27 @@ def test_main_bs_and_spectrum_match_study(study_small, tmp_path):
         assert (out / name).read_text().startswith("<svg"), name
 
 
+def test_main_study_d3_writes_the_d1_spectrum_tables(tmp_path):
+    # the scaling and Bohr-Sommerfeld tables are d = 1 problems in every dimension
+    outs = {}
+    for d in (3, 1):
+        cfg = tmp_path / f"d{d}.cfg"
+        cfg.write_text(f"dimension = {d}\neps = 0.1, 0.05\nn_nodes = 2001\nn_pairs = 1\n"
+                       "bs_levels = 1, 2\n")
+        outs[d] = tmp_path / f"d{d}"
+        assert main(["study", "--config", str(cfg), "--out", str(outs[d]), "--plots"]) == 0
+    names = sorted(p.name for p in outs[3].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir()) == sorted([
+        "painleve.csv", "corrections.csv", "remainder.csv", "scaling.csv",
+        "bs.csv", "summary.txt", "remainder.svg", "scaling.svg",
+    ])
+    for name in ("scaling.csv", "bs.csv"):
+        assert (outs[3] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    s3, s1 = (read_summary(outs[d] / "summary.txt") for d in (3, 1))
+    assert s3.keys() == s1.keys()
+    assert {key for key in s3 if s3[key] != s1[key]} == {"dimension", "remainder_fit_order"}
+
+
 def test_main_outputs_are_deterministic(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -150,6 +150,21 @@ def test_nan_coordinates_raise_the_named_error(sol, cset1):
         composite_eta(cset1, 0.1, np.nan)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("function", ["to_boundary_layer", "composite_nu", "composite_eta",
+                                      "default_grid"])
+def test_layer_scale_must_be_finite_and_positive(function, eps, cset1):
+    # one rule owns eps^(2/3): inf maps every x to y = 0, 0 and -1 divide by zero or go complex
+    calls = {
+        "to_boundary_layer": lambda: to_boundary_layer(0.5, eps),
+        "composite_nu": lambda: composite_nu(cset1, eps, 0.0),
+        "composite_eta": lambda: composite_eta(cset1, eps, 0.5),
+        "default_grid": lambda: default_grid(eps),
+    }
+    with pytest.raises(ValueError, match=f"eps must be finite and positive, got {eps}"):
+        calls[function]()
+
+
 def test_ground_state_takes_its_dimension_from_the_correction_set(cset3):
     assert solve_ground_state(0.1, cset3).dimension == 3
 

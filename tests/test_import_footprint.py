@@ -7,7 +7,9 @@ numpy.f2py, numpy.testing, numpy.ma and numpy.random, about half of what is
 left; ``grids`` loads the LAPACK extension from its file instead.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +75,20 @@ def test_no_source_file_names_scipy_interpolate():
     root = Path(tfpainleve.__file__).parent
     named = [p.name for p in root.rglob("*.py") if "scipy.interpolate" in p.read_text()]
     assert named == []
+
+
+def test_every_source_file_parses_at_the_declared_python_floor():
+    """Each module parses with the grammar of the oldest Python that pyproject.toml admits.
+
+    This checks grammar only (``except*`` is 3.11, say): a standard-library
+    name newer than the floor, such as ``tomllib``, still passes.
+    """
+    # tomllib itself is 3.11+, so the floor is read by regex
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python\s*=\s*">=(\d+)\.(\d+)"', text, re.MULTILINE)
+    feature_version = (int(floor[1]), int(floor[2]))
+    for path in sorted(Path(tfpainleve.__file__).parent.rglob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=feature_version)
 
 
 def _blas_threads(env, first=""):
