@@ -126,7 +126,8 @@ def assemble_Fn(sol: PainleveSolution, terms, n: int, dimension: int) -> np.ndar
 
     F_n = - sum_{triples} nu_{n1} nu_{n2} nu_{n3} - 2 d nu_{n-1}' - 4 y nu_{n-1}''
     with the triple sum over indices below n summing to n, empty at n = 1.
-    Derivatives are differenced samples (nu0' is ``sol.dnu0``), except that
+    Derivatives are differenced samples of nu_{n-1} (at n = 1 the same
+    ``first_difference`` of nu0 as ``sol.dnu0``), except that
     nu0'' = (nu0^3 - y nu0) / 4 comes from the profile equation, so that the
     far field of F_1 is series-accurate.
     """

@@ -169,7 +169,6 @@ class PainleveSolution:
     dnu0: np.ndarray
     w0: np.ndarray
     residual_max: float
-    tol: float
     newton_iterations: int
 
     @cached_property
@@ -195,6 +194,9 @@ class PainleveSolution:
 
 _SERIES_TERMS = 6
 _MAX_ITERATIONS = 50
+# No residual reaches the smallest normal float, so the profile solve never
+# stops at a tolerance: it always ends at damped_newton's rounding-floor exit.
+_UNREACHABLE_TOL = np.finfo(float).tiny
 
 
 def layer_operator(h: float, w: np.ndarray) -> TridiagonalOperator:
@@ -222,6 +224,11 @@ def check_window(y_min: float, y_max: float, n_nodes: int) -> None:
     """ValueError unless the layer grid covers [-15, 30], where the tails hold, with 2000+ nodes."""
     if not (-np.inf < y_min <= -15.0 and 30.0 <= y_max < np.inf):
         raise ValueError(f"layer grid [{y_min}, {y_max}] must be finite and cover [-15, 30]")
+    # further left the Airy tail sinks below what the floor-limited solve resolves,
+    # and on fine grids the iterate stops increasing (y_min = -41 at 120,001 nodes)
+    if y_min < -40.0:
+        raise ValueError(f"y_min must be at least -40, where the left tail stays resolved, "
+                         f"got {y_min}")
     if n_nodes < 2000:
         raise ValueError(f"n_nodes must be at least 2000, got {n_nodes}")
 
@@ -230,7 +237,6 @@ def solve_hastings_mcleod(
     y_min: float = -20.0,
     y_max: float = 40.0,
     n_nodes: int = 6001,
-    tol: float = 1e-10,
 ) -> PainleveSolution:
     """Damped-Newton solve of 4 D2 nu + y nu - nu^3 = 0 with tail pinning.
 
@@ -239,8 +245,8 @@ def solve_hastings_mcleod(
     Jacobian of -(4 D2 nu + y nu - nu^3) there is ``layer_operator(h, 3 nu^2 - y)``,
     the operator M0 at the iterate.  The initial guess
     nu(y) = sqrt((y + sqrt(y^2 + 4)) / 2) interpolates between both regimes.
-    ``damped_newton`` ends at its rounding floor, ~eps_mach |nu| / h^2 here,
-    when that lies above tol, as it can at fine spacing.
+    The iteration always ends at ``damped_newton``'s rounding floor,
+    ~eps_mach |nu| / h^2 here, on every grid.
     """
     check_window(y_min, y_max, n_nodes)
     grid = uniform_grid(y_min, y_max, n_nodes)
@@ -253,7 +259,7 @@ def solve_hastings_mcleod(
     inner, rnorm, iterations = damped_newton(
         lambda v: _newton_residual(v, y, h, left, right),
         lambda v: layer_operator(h, 3.0 * v * v - y[1:-1]),
-        nu[1:-1], tol, _MAX_ITERATIONS,
+        nu[1:-1], _UNREACHABLE_TOL, _MAX_ITERATIONS,
     )
     nu = np.concatenate(([left], inner, [right]))
 
@@ -275,6 +281,5 @@ def solve_hastings_mcleod(
         dnu0=dnu,
         w0=w0,
         residual_max=rnorm,
-        tol=tol,
         newton_iterations=iterations,
     )

@@ -8,11 +8,23 @@ from tfpainleve import (
     solve_hastings_mcleod,
     solve_ground_state,
 )
+from tfpainleve import painleve
 
 
 @pytest.fixture(scope="session")
 def sol():
     return solve_hastings_mcleod()
+
+
+@pytest.fixture(scope="session")
+def profile_floor():
+    """``damped_newton``'s rounding floor at a solved profile: where its solve must end."""
+    def floor(solution):
+        h, v = solution.grid.spacing, solution.nu0[1:-1]
+        jac = painleve.layer_operator(h, 3.0 * v * v - solution.grid.nodes[1:-1])
+        return painleve._rounding_floor(jac, v)
+
+    return floor
 
 
 @pytest.fixture(scope="session")

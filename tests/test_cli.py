@@ -1,6 +1,8 @@
+import importlib
 import inspect
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +36,6 @@ def test_load_config_defaults():
         ("y_min", solve_hastings_mcleod, "y_min"),
         ("y_max", solve_hastings_mcleod, "y_max"),
         ("n_nodes", solve_hastings_mcleod, "n_nodes"),
-        ("tol", solve_hastings_mcleod, "tol"),
         ("gs_tol", solve_ground_state, "tol"),
         ("gs_tol", scaling_study, "gs_tol"),
         ("nodes_per_layer", solve_ground_state, "nodes_per_layer"),
@@ -57,13 +58,13 @@ def test_load_config_overrides(tmp_path):
         "dimension = 3   # trailing comment\n"
         "eps = 0.2, 0.1\n"
         "bs_levels = 2,4\n"
-        "tol = 1e-9\n"
+        "gs_tol = 1e-9\n"
     )
     cfg = load_config(str(path))
     assert cfg["dimension"] == 3
     assert cfg["eps"] == (0.2, 0.1)
     assert cfg["bs_levels"] == (2, 4)
-    assert cfg["tol"] == 1e-9
+    assert cfg["gs_tol"] == 1e-9
     assert cfg["n_nodes"] == _DEFAULTS["n_nodes"]
 
 
@@ -97,7 +98,7 @@ def test_load_config_errors(tmp_path):
         ("order", 9, "order"),
         ("y_max", 20.0, "cover"),
         ("n_nodes", 100, "n_nodes"),
-        ("tol", 0.0, "positive"),
+        ("gs_tol", 0.0, "positive"),
         ("nodes_per_layer", 5, "nodes_per_layer"),
         ("eps", (0.003,), "beyond the profile grid end y_max = 40"),
         ("n_pairs", 0, "n_pairs"),
@@ -108,6 +109,7 @@ def test_load_config_errors(tmp_path):
         ("bs_levels", (2, 1, 2), "distinct"),
         ("eps", (0.1, 0.1000001), "distinct 6-digit labels"),
         ("gs_tol", -1.0, "gs_tol must be positive, got -1.0"),
+        ("y_min", -40.5, "y_min must be at least -40, .* got -40.5"),
     ],
 )
 def test_validate_config_rejects(key, value, fragment):
@@ -132,6 +134,7 @@ def test_validate_config_rejects(key, value, fragment):
         ("nodes_per_layer", 5, lambda sol, cset: solve_ground_state(0.1, cset, nodes_per_layer=5)),
         ("eps", (0.003,), lambda sol, cset: solve_ground_state(0.003, cset)),
         ("bs_levels", (0, 2), lambda sol, cset: bs_eigenvalue(from_solution(sol), (0, 2))),
+        ("y_min", -41.0, lambda sol, cset: solve_hastings_mcleod(y_min=-41.0)),
     ],
 )
 def test_config_error_is_the_module_rule(key, value, solve, sol, cset1, tmp_path, capsys):
@@ -178,7 +181,7 @@ def test_main_bad_config_is_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line", ["gs_tol = inf", "y_min = nan", "y_max = inf", "tol = inf"]
+    "line", ["gs_tol = inf", "y_min = nan", "y_max = inf", "y_min = -inf"]
 )
 def test_main_non_finite_value_is_exit_1(line, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -215,7 +218,7 @@ def test_config_fuzz_rejects_or_yields_finite_floats(tmp_path_factory, pairs):
                 assert math.isfinite(v), cfg
 
 
-def test_main_painleve(tmp_path):
+def test_main_painleve(tmp_path, sol):
     out = tmp_path / "out"
     assert main(["painleve", "--out", str(out), "--plots"]) == 0
     csv = out / "painleve.csv"
@@ -225,7 +228,7 @@ def test_main_painleve(tmp_path):
     summary = read_summary(out / "summary.txt")
     assert abs(float(summary["nu0_at_0"]) - 0.654029331355) < 1e-6
     assert float(summary["W_min"]) > 0.0
-    assert float(summary["residual_max"]) <= _DEFAULTS["tol"]
+    assert summary["residual_max"] == f"{sol.residual_max:.1e}"
     svg = (out / "painleve.svg").read_text()
     assert svg.startswith("<svg") and "nu0" in svg
 
@@ -243,7 +246,7 @@ def test_main_groundstate_d2_honors_out_dir(tmp_path):
     assert float(summary["residual_eps0.05"]) <= _DEFAULTS["gs_tol"]
 
 
-def test_summary_residuals_have_two_digits(tmp_path):
+def test_summary_residuals_have_two_digits(tmp_path, sol, profile_floor):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("eps = 0.1, 0.05\nnodes_per_layer = 24\n")
     residuals = {}
@@ -255,19 +258,20 @@ def test_summary_residuals_have_two_digits(tmp_path):
     assert sorted(residuals) == ["residual_eps0.05", "residual_eps0.1", "residual_max"]
     for key, value in residuals.items():
         assert re.fullmatch(r"\d\.\de[+-]\d+", value), (key, value)
-        tol = _DEFAULTS["tol"] if key == "residual_max" else _DEFAULTS["gs_tol"]
-        assert float(value) <= tol, (key, value)
+        bound = profile_floor(sol) if key == "residual_max" else _DEFAULTS["gs_tol"]
+        assert float(value) <= bound, (key, value)
 
 
-@pytest.mark.parametrize("n_nodes, flag", [(6001, "0"), (120001, "1")])
-def test_painleve_summary_flags_a_newton_floor_exit(n_nodes, flag, tmp_path):
-    # at 120,001 nodes the rounding floor ~eps_mach |nu| / h^2 lies above tol = 1e-10
+@pytest.mark.parametrize("n_nodes", [6001, 120001])
+def test_painleve_summary_residual_is_at_the_rounding_floor(n_nodes, profile_floor, tmp_path):
+    # the profile solve takes no tolerance: on every grid it ends at the kernel's
+    # floor exit, ~eps_mach |nu| / h^2, so no floor-exit flag is written
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"n_nodes = {n_nodes}\n")
     assert main(["painleve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     summary = read_summary(tmp_path / "out" / "summary.txt")
-    assert summary["newton_floor_exit"] == flag
-    assert (float(summary["residual_max"]) > _DEFAULTS["tol"]) == (flag == "1")
+    assert "newton_floor_exit" not in summary
+    assert float(summary["residual_max"]) <= profile_floor(solve_hastings_mcleod(n_nodes=n_nodes))
 
 
 @pytest.mark.parametrize("gs_tol, flag", [(1e-8, "0"), (1e-13, "1")])
@@ -278,6 +282,45 @@ def test_groundstate_summary_flags_a_newton_floor_exit(gs_tol, flag, tmp_path):
     summary = read_summary(tmp_path / "out" / "summary.txt")
     assert summary["newton_floor_exit_eps0.1"] == flag
     assert (float(summary["residual_eps0.1"]) > gs_tol) == (flag == "1")
+
+
+def test_painleve_reports_a_failed_well_certification_under_its_stage(tmp_path, capsys):
+    # on [-20, 1e5] with 2,000 nodes the profile solves, but W0 has no certified well
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("y_max = 1e5\nn_nodes = 2000\n")
+    assert main(["painleve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "stage painleve failed: potential has no interior minimum on the certified range\n")
+    assert not (tmp_path / "out" / "summary.txt").exists()
+
+
+def test_groundstate_plots_leave_the_data_files_alone(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dimension = 1\nn_nodes = 2001\neps = 0.1, 0.05\n")
+    plain, plotted = tmp_path / "plain", tmp_path / "plotted"
+    assert main(["groundstate", "--config", str(cfg), "--out", str(plain)]) == 0
+    assert main(["groundstate", "--config", str(cfg), "--out", str(plotted), "--plots"]) == 0
+    svg = (plotted / "groundstate.svg").read_text()
+    assert svg.count("<polyline ") == 2
+    assert ">eta eps=0.1</text>" in svg and ">eta eps=0.05</text>" in svg
+    names = sorted(p.name for p in plain.iterdir())
+    assert names == ["groundstate_d1_eps0.05.csv", "groundstate_d1_eps0.1.csv", "summary.txt"]
+    assert sorted(p.name for p in plotted.iterdir()) == sorted([*names, "groundstate.svg"])
+    for name in names:
+        assert (plotted / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def test_console_script_is_cli_main(tmp_path):
+    # the installed `tfp` command resolves the [project.scripts] entry, not this import path
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, attr = re.search(r'^\[project\.scripts\]\ntfp = "([\w.]+):(\w+)"$', text,
+                             flags=re.MULTILINE).groups()
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry is main
+    rc = entry(["painleve", "--config", str(tmp_path / "missing.cfg"),
+                "--out", str(tmp_path / "out")])
+    assert type(rc) is int and rc == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_groundstate_solve_failure_keeps_the_earlier_csvs(tmp_path, capsys, monkeypatch):
