@@ -40,7 +40,6 @@ from .corrections import (
     assemble_Fn,
     build_corrections,
     composite_nu,
-    tail_fit_window,
 )
 from .groundstate import (
     GroundState,
@@ -87,7 +86,6 @@ __all__ = [
     "assemble_Fn",
     "build_corrections",
     "composite_nu",
-    "tail_fit_window",
     "GroundState",
     "RemainderTable",
     "default_grid",

@@ -34,14 +34,14 @@ _DEFAULTS = {
     "dimension": 1,
     "eps": (0.1, 0.05, 0.025),
     "order": 2,
-    "y_min": -20.0,
-    "y_max": 40.0,
     "n_nodes": 6001,
     "gs_tol": 1e-8,
     "nodes_per_layer": 40,
     "n_pairs": 3,
     "bs_levels": (1, 2, 3, 4, 5, 6, 7, 8),
 }
+# the n_pairs cap; every command solves M0 for at least this many eigenvalues
+_MAX_PAIRS = 8
 
 
 def _parse_value(key: str, raw: str):
@@ -94,9 +94,9 @@ def validate_config(cfg: dict, command: str | None = None) -> None:
         check_expansion(cfg["dimension"], cfg["order"])
         if command == "spectrum":
             check_d1(cfg["dimension"])
-        check_window(cfg["y_min"], cfg["y_max"], cfg["n_nodes"])
+        check_window(cfg["n_nodes"])
         for eps in eps_ladder(cfg["eps"]):
-            check_ground_state(eps, cfg["dimension"], cfg["nodes_per_layer"], cfg["y_max"])
+            check_ground_state(eps, cfg["dimension"], cfg["nodes_per_layer"])
         check_levels(cfg["bs_levels"])
         check_tol(cfg["gs_tol"], "gs_tol")
     except ValueError as exc:
@@ -104,8 +104,8 @@ def validate_config(cfg: dict, command: str | None = None) -> None:
     # the labels name the per-eps CSV files and summary keys
     if len({f"{e:g}" for e in cfg["eps"]}) < len(cfg["eps"]):
         raise ConfigError(f"eps values must have distinct 6-digit labels, got {cfg['eps']}")
-    if not 1 <= cfg["n_pairs"] <= 8:
-        raise ConfigError(f"n_pairs must be between 1 and 8, got {cfg['n_pairs']}")
+    if not 1 <= cfg["n_pairs"] <= _MAX_PAIRS:
+        raise ConfigError(f"n_pairs must be between 1 and {_MAX_PAIRS}, got {cfg['n_pairs']}")
     if not cfg["bs_levels"] or len(set(cfg["bs_levels"])) < len(cfg["bs_levels"]):
         raise ConfigError(f"bs_levels must be non-empty and distinct, got {cfg['bs_levels']}")
 
@@ -212,7 +212,7 @@ class _Stages:
 
 
 def _solve_painleve(cfg):
-    return solve_hastings_mcleod(y_min=cfg["y_min"], y_max=cfg["y_max"], n_nodes=cfg["n_nodes"])
+    return solve_hastings_mcleod(n_nodes=cfg["n_nodes"])
 
 
 def cmd_painleve(cfg, out, plots, stages) -> None:
@@ -264,7 +264,12 @@ def _bs_levels(cfg) -> tuple:
     return tuple(sorted(cfg["bs_levels"]))
 
 
-def _m0_eigenvalues(sol, k):
+def _m0_eigenvalues(sol, cfg):
+    """The k = max(_MAX_PAIRS, top level) smallest M0 eigenvalues, the same k in every command.
+
+    mu_n's last bits (about 1e-13 relative) depend on k.
+    """
+    k = max(_MAX_PAIRS, _bs_levels(cfg)[-1])
     return eig_smallest(assemble_M0(sol), k, label="M0").eigenvalues
 
 
@@ -294,10 +299,10 @@ def _scaling_plot(path, table, n_pairs) -> None:
     _svg_plot(path, "Scaled eigenvalues vs eps", series)
 
 
-def _scaling(cfg, sol, cset, k, stages):
-    """Stage "scaling": (the k smallest M0 eigenvalues mu, the scaled L+ table of ``cset``)."""
+def _scaling(cfg, sol, cset, stages):
+    """Stage "scaling": (the M0 eigenvalues mu, the scaled L+ table of ``cset``)."""
     def run():
-        mu = _m0_eigenvalues(sol, k)
+        mu = _m0_eigenvalues(sol, cfg)
         return mu, scaling_study(cset, cfg["eps"], mu, n_pairs=cfg["n_pairs"],
                                  nodes_per_layer=cfg["nodes_per_layer"], gs_tol=cfg["gs_tol"])
 
@@ -307,10 +312,10 @@ def _scaling(cfg, sol, cset, k, stages):
 def cmd_spectrum(cfg, out, plots, stages) -> None:
     sol = stages.run("painleve", lambda: _solve_painleve(cfg))
     cset = stages.run("corrections", lambda: build_corrections(sol, 1, order=cfg["order"]))
-    mu, table = _scaling(cfg, sol, cset, cfg["n_pairs"], stages)
+    mu, table = _scaling(cfg, sol, cset, stages)
     table.to_csv(os.path.join(out, "spectrum.csv"))
     _write_summary(os.path.join(out, "summary.txt"),
-                   [(f"mu_{i + 1}", float(m)) for i, m in enumerate(mu)])
+                   [(f"mu_{i + 1}", float(m)) for i, m in enumerate(mu[:cfg["n_pairs"]])])
     if plots:
         _scaling_plot(os.path.join(out, "spectrum.svg"), table, cfg["n_pairs"])
 
@@ -318,7 +323,7 @@ def cmd_spectrum(cfg, out, plots, stages) -> None:
 def cmd_bs(cfg, out, plots, stages) -> None:
     sol = stages.run("painleve", lambda: _solve_painleve(cfg))
     levels = _bs_levels(cfg)
-    mu = stages.run("bs", lambda: _m0_eigenvalues(sol, levels[-1]))
+    mu = stages.run("bs", lambda: _m0_eigenvalues(sol, cfg))
     mu_bs, mu_m0, rel = _bs_table(sol, levels, mu, out, stages)
     _write_summary(os.path.join(out, "summary.txt"), [("max_rel_err", float(rel.max()))])
     if plots:
@@ -344,7 +349,7 @@ def cmd_study(cfg, out, plots, stages) -> None:
     )
     levels = _bs_levels(cfg)
     # one M0 solve serves both the scaling table and the Bohr-Sommerfeld table
-    mu, scaling = _scaling(cfg, sol, cset1, max(cfg["n_pairs"], levels[-1]), stages)
+    mu, scaling = _scaling(cfg, sol, cset1, stages)
     scaling.to_csv(os.path.join(out, "scaling.csv"))
     _bs_table(sol, levels, mu, out, stages)
     _write_summary(

@@ -19,14 +19,19 @@ import numpy as np
 from ._io import write_csv
 from .grids import (UniformSpline, check_eps, first_difference, record, second_difference,
                     solve_tridiagonal)
-from .painleve import PainleveSolution, assemble_M0
+from .painleve import LAYER_WINDOW, PainleveSolution, assemble_M0
 
 # far-field exponent of nu_n y^(beta - 2n): beta = -5/2 in d = 1 where the
 # leading forcing cancels, beta = 1/2 otherwise
 TAIL_EXPONENTS = {1: -2.5, 2: 0.5, 3: 0.5}
 
-# right-tail fit window and the magnitude below which a slope fit is noise
-_FIT_WINDOW = (25.0, 40.0)
+# Right-tail fit range, ending clear of the truncation boundary.  The Dirichlet
+# row pins the endpoint to 0, or in d >= 2 for nu_1 to its far-field value
+# (1 - d) / (W0 sqrt(y)); differencing spreads that truncation bump about three
+# units into the domain (homogeneous decay rate sqrt(W0)/2 per unit), so fits
+# stop 3 short of the layer window's right end.
+TAIL_FIT_WINDOW = (25.0, LAYER_WINDOW[1] - 3.0)
+# the magnitude below which a slope fit is noise
 _FIT_FLOOR = 1e-11
 
 
@@ -91,20 +96,9 @@ def loglog_slope(x: np.ndarray, v: np.ndarray) -> float:
     return float(np.sum(lx * (lv - lv.mean())) / np.sum(lx * lx))
 
 
-def tail_fit_window(sol: PainleveSolution):
-    """Right-tail fit range, ending clear of the truncation boundary.
-
-    The Dirichlet row pins the endpoint to 0, or in d >= 2 for nu_1 to its
-    far-field value (1 - d) / (W0 sqrt(y)); differencing spreads that
-    truncation bump about three units into the domain (homogeneous decay rate
-    sqrt(W0)/2 per unit), so fits stop at grid.b - 3.
-    """
-    return _FIT_WINDOW[0], min(_FIT_WINDOW[1], sol.grid.b - 3.0)
-
-
 def _check_tail_slope(sol: PainleveSolution, values: np.ndarray, expected: float, label: str):
     y = sol.grid.nodes
-    lower, upper = tail_fit_window(sol)
+    lower, upper = TAIL_FIT_WINDOW
     mask = (y >= lower) & (y <= upper)
     window = values[mask]
     if np.max(np.abs(window)) < _FIT_FLOOR:
@@ -164,7 +158,7 @@ def build_corrections(sol: PainleveSolution, dimension: int, order: int = 2) -> 
     forcings = []
     for n in range(1, order + 1):
         Fn = assemble_Fn(sol, terms, n, dimension)
-        # far-field value (1 - d) / (W0 sqrt(y)) of nu_1 at y_max; 0 in d = 1
+        # far-field value (1 - d) / (W0 sqrt(y)) of nu_1 at the right end; 0 in d = 1
         right = (1 - dimension) * (1.0 / (sol.w0[-1] * np.sqrt(sol.grid.b))) if n == 1 else 0.0
         nun = _linear_solve(m0, h, Fn, right)
         _check_tail_slope(sol, nun, beta - 2.0 * n, f"nu_{n} (d={dimension})")

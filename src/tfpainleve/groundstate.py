@@ -18,7 +18,7 @@ from ._io import write_csv
 from .corrections import CorrectionSet, check_dimension, composite_nu, loglog_slope
 from .grids import (Grid1D, TridiagonalOperator, check_eps, first_difference, record,
                     to_boundary_layer, uniform_grid)
-from .painleve import ConvergenceError, damped_newton, tail_minus
+from .painleve import LAYER_WINDOW, ConvergenceError, damped_newton, tail_minus
 
 _MAX_ITERATIONS = 60
 _NEGATIVE_SLACK = 1e-12
@@ -87,13 +87,13 @@ def _residual(eta, r, h, eps, d):
     return res
 
 
-def check_ground_state(eps: float, dimension: int, nodes_per_layer: int, y_max: float) -> None:
+def check_ground_state(eps: float, dimension: int, nodes_per_layer: int) -> None:
     """ValueError unless ``solve_ground_state`` takes these inputs.
 
     A positive state exists only for eps * dimension < 1.  At 20 or more
     nodes per layer width, ``default_grid`` resolves the eps^(2/3) layer.
     The composite reaches the centre r = 0, at y = eps^(-2/3), only if the
-    profile grid end ``y_max`` lies beyond it.
+    right end of ``LAYER_WINDOW`` lies beyond it: eps >= 40^(-3/2) = 0.003953.
     """
     if not 0.0 < eps <= 0.5:
         raise ValueError(f"eps values must lie in (0, 0.5], got {eps}")
@@ -105,9 +105,9 @@ def check_ground_state(eps: float, dimension: int, nodes_per_layer: int, y_max: 
     if nodes_per_layer < 20:
         raise ValueError(f"nodes_per_layer must be at least 20, got {nodes_per_layer}")
     y_centre = to_boundary_layer(0.0, eps)
-    if not y_centre <= y_max:
-        raise ValueError(f"eps={eps:g} maps r = 0 to y = {y_centre:.2f}, beyond the profile "
-                         f"grid end y_max = {y_max:g}")
+    if not y_centre <= LAYER_WINDOW[1]:
+        raise ValueError(f"eps={eps:g} maps r = 0 to y = {y_centre:.2f}, beyond the layer "
+                         f"window end y = {LAYER_WINDOW[1]:g}")
 
 
 def solve_ground_state(
@@ -125,7 +125,7 @@ def solve_ground_state(
     ``trap_operator``, the operator L+ at the iterate.
     """
     dimension = cset.dimension
-    check_ground_state(eps, dimension, nodes_per_layer, cset.profile.grid.b)
+    check_ground_state(eps, dimension, nodes_per_layer)
     grid = default_grid(eps, nodes_per_layer)
     h = grid.spacing
     r = grid.nodes
@@ -204,8 +204,9 @@ def composite_eta(cset: CorrectionSet, eps: float, x) -> np.ndarray:
     sol = cset.profile
     if not np.all(y <= sol.grid.b):  # NaN fails this too
         raise ValueError(
-            f"layer coordinate reaches y = {y.max():.2f} beyond the profile grid; "
-            "re-solve the profile with a larger y_max"
+            f"layer coordinate reaches y = {y.max():.2f} beyond the profile grid end "
+            f"y = {sol.grid.b:g}, which reaches the trap centre only for "
+            f"eps >= {sol.grid.b ** -1.5:.4g}"
         )
     out = np.empty_like(y)
     inside = y >= sol.grid.a

@@ -192,6 +192,9 @@ class PainleveSolution:
                   [self.grid.nodes, self.nu0, self.dnu0, self.w0])
 
 
+# The layer grid: the Airy tail is pinned at the left end, and the right end
+# reaches the trap centre y = eps^(-2/3) for every eps >= 40^(-3/2) = 0.003953.
+LAYER_WINDOW = (-20.0, 40.0)
 _SERIES_TERMS = 6
 _MAX_ITERATIONS = 50
 # No residual reaches the smallest normal float, so the profile solve never
@@ -220,35 +223,25 @@ def _newton_residual(inner, y, h, left, right):
     )
 
 
-def check_window(y_min: float, y_max: float, n_nodes: int) -> None:
-    """ValueError unless the layer grid covers [-15, 30], where the tails hold, with 2000+ nodes."""
-    if not (-np.inf < y_min <= -15.0 and 30.0 <= y_max < np.inf):
-        raise ValueError(f"layer grid [{y_min}, {y_max}] must be finite and cover [-15, 30]")
-    # further left the Airy tail sinks below what the floor-limited solve resolves,
-    # and on fine grids the iterate stops increasing (y_min = -41 at 120,001 nodes)
-    if y_min < -40.0:
-        raise ValueError(f"y_min must be at least -40, where the left tail stays resolved, "
-                         f"got {y_min}")
+def check_window(n_nodes: int) -> None:
+    """ValueError unless the layer grid has 2000+ nodes, so that its spacing is at most 0.030."""
     if n_nodes < 2000:
         raise ValueError(f"n_nodes must be at least 2000, got {n_nodes}")
 
 
-def solve_hastings_mcleod(
-    y_min: float = -20.0,
-    y_max: float = 40.0,
-    n_nodes: int = 6001,
-) -> PainleveSolution:
-    """Damped-Newton solve of 4 D2 nu + y nu - nu^3 = 0 with tail pinning.
+def solve_hastings_mcleod(n_nodes: int = 6001) -> PainleveSolution:
+    """Damped-Newton solve of 4 D2 nu + y nu - nu^3 = 0 on ``LAYER_WINDOW``, with tail pinning.
 
-    Dirichlet values come from the asymptotic tails: tail_minus at y_min and
-    the tail_plus series at y_max.  The unknowns are the interior nodes; the
+    Dirichlet values come from the asymptotic tails: tail_minus at the left
+    end and the tail_plus series at the right end.  The unknowns are the interior nodes; the
     Jacobian of -(4 D2 nu + y nu - nu^3) there is ``layer_operator(h, 3 nu^2 - y)``,
     the operator M0 at the iterate.  The initial guess
     nu(y) = sqrt((y + sqrt(y^2 + 4)) / 2) interpolates between both regimes.
     The iteration always ends at ``damped_newton``'s rounding floor,
     ~eps_mach |nu| / h^2 here, on every grid.
     """
-    check_window(y_min, y_max, n_nodes)
+    check_window(n_nodes)
+    y_min, y_max = LAYER_WINDOW
     grid = uniform_grid(y_min, y_max, n_nodes)
     y = grid.nodes
     h = grid.spacing

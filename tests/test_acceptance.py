@@ -27,11 +27,10 @@ from tfpainleve import (
     second_difference,
     solve_ground_state,
     solve_hastings_mcleod,
-    tail_fit_window,
     tail_plus,
     uniform_grid,
 )
-from tfpainleve.corrections import TAIL_EXPONENTS, loglog_slope
+from tfpainleve.corrections import TAIL_EXPONENTS, TAIL_FIT_WINDOW, loglog_slope
 
 EPS_LIST = (0.1, 0.05, 0.025)
 
@@ -69,7 +68,7 @@ def test_criterion_03_tail_coefficients_and_partial_sum_error(sol):
 
 
 def test_criterion_04_correction_residuals_and_tail_exponents(sol, cset1, cset2, cset3):
-    lo, up = tail_fit_window(sol)
+    lo, up = TAIL_FIT_WINDOW
     y = sol.grid.nodes
     mask = (y >= lo) & (y <= up)
     for cset in (cset1, cset2, cset3):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfpainleve import (ConvergenceError, bs_eigenvalue, build_corrections, from_solution,
-                        scaling_study, solve_ground_state, solve_hastings_mcleod)
-from tfpainleve import groundstate
+from tfpainleve import (ConvergenceError, bs_eigenvalue, build_corrections, eig_smallest,
+                        from_solution, scaling_study, solve_ground_state,
+                        solve_hastings_mcleod)
+from tfpainleve import cli, groundstate
 from tfpainleve.cli import ConfigError, _DEFAULTS, load_config, main, validate_config
 from tfpainleve.groundstate import default_grid, ground_state_ladder
 
@@ -33,8 +34,6 @@ def test_load_config_defaults():
 @pytest.mark.parametrize(
     ("key", "function", "parameter"),
     [
-        ("y_min", solve_hastings_mcleod, "y_min"),
-        ("y_max", solve_hastings_mcleod, "y_max"),
         ("n_nodes", solve_hastings_mcleod, "n_nodes"),
         ("gs_tol", solve_ground_state, "tol"),
         ("gs_tol", scaling_study, "gs_tol"),
@@ -68,6 +67,19 @@ def test_load_config_overrides(tmp_path):
     assert cfg["n_nodes"] == _DEFAULTS["n_nodes"]
 
 
+@pytest.mark.parametrize("line", ["y_min = -20", "y_max = 40", "y_max = 10000"])
+def test_layer_window_is_not_a_config_key(line, tmp_path, capsys):
+    # the window is painleve.LAYER_WINDOW: a line naming it exits 1, even at its
+    # value, and so does y_max = 10000, whose spacing 1.67 puts nu0(0) 1.3 % off
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text(line + "\n")
+    rc = main(["painleve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err == f"configuration error: unknown configuration key {key!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_load_config_errors(tmp_path):
     bad_key = tmp_path / "a.cfg"
     bad_key.write_text("spacing = 3\n")
@@ -96,11 +108,11 @@ def test_load_config_errors(tmp_path):
         ("eps", (), "empty"),
         ("eps", (0.9,), "eps values"),
         ("order", 9, "order"),
-        ("y_max", 20.0, "cover"),
+        ("n_pairs", 9, "n_pairs must be between 1 and 8, got 9"),
         ("n_nodes", 100, "n_nodes"),
         ("gs_tol", 0.0, "positive"),
         ("nodes_per_layer", 5, "nodes_per_layer"),
-        ("eps", (0.003,), "beyond the profile grid end y_max = 40"),
+        ("eps", (0.003,), "beyond the layer window end y = 40"),
         ("n_pairs", 0, "n_pairs"),
         ("bs_levels", (), "bs_levels"),
         ("bs_levels", (0, 2), "bs_levels"),
@@ -109,7 +121,6 @@ def test_load_config_errors(tmp_path):
         ("bs_levels", (2, 1, 2), "distinct"),
         ("eps", (0.1, 0.1000001), "distinct 6-digit labels"),
         ("gs_tol", -1.0, "gs_tol must be positive, got -1.0"),
-        ("y_min", -40.5, "y_min must be at least -40, .* got -40.5"),
     ],
 )
 def test_validate_config_rejects(key, value, fragment):
@@ -129,12 +140,11 @@ def test_validate_config_rejects(key, value, fragment):
         ("eps", (0.1, 0.1), lambda sol, cset: ground_state_ladder(cset, (0.1, 0.1))),
         ("order", 9, lambda sol, cset: build_corrections(sol, 1, order=9)),
         ("order", 0, lambda sol, cset: build_corrections(sol, 1, order=0)),
-        ("y_max", 20.0, lambda sol, cset: solve_hastings_mcleod(y_max=20.0)),
+        ("n_nodes", 1999, lambda sol, cset: solve_hastings_mcleod(n_nodes=1999)),
         ("n_nodes", 100, lambda sol, cset: solve_hastings_mcleod(n_nodes=100)),
         ("nodes_per_layer", 5, lambda sol, cset: solve_ground_state(0.1, cset, nodes_per_layer=5)),
         ("eps", (0.003,), lambda sol, cset: solve_ground_state(0.003, cset)),
         ("bs_levels", (0, 2), lambda sol, cset: bs_eigenvalue(from_solution(sol), (0, 2))),
-        ("y_min", -41.0, lambda sol, cset: solve_hastings_mcleod(y_min=-41.0)),
     ],
 )
 def test_config_error_is_the_module_rule(key, value, solve, sol, cset1, tmp_path, capsys):
@@ -181,6 +191,7 @@ def test_main_bad_config_is_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    # y_min and y_max are unknown keys: their lines exit 1 all the same
     "line", ["gs_tol = inf", "y_min = nan", "y_max = inf", "y_min = -inf"]
 )
 def test_main_non_finite_value_is_exit_1(line, tmp_path, capsys):
@@ -284,11 +295,14 @@ def test_groundstate_summary_flags_a_newton_floor_exit(gs_tol, flag, tmp_path):
     assert (float(summary["residual_eps0.1"]) > gs_tol) == (flag == "1")
 
 
-def test_painleve_reports_a_failed_well_certification_under_its_stage(tmp_path, capsys):
-    # on [-20, 1e5] with 2,000 nodes the profile solves, but W0 has no certified well
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("y_max = 1e5\nn_nodes = 2000\n")
-    assert main(["painleve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+def test_painleve_reports_a_failed_well_certification_under_its_stage(
+        tmp_path, capsys, monkeypatch):
+    # the profile solves, but the certification of W0's well fails
+    def no_well(sol):
+        raise ValueError("potential has no interior minimum on the certified range")
+
+    monkeypatch.setattr(cli, "from_solution", no_well)
+    assert main(["painleve", "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
         "stage painleve failed: potential has no interior minimum on the certified range\n")
     assert not (tmp_path / "out" / "summary.txt").exists()
@@ -391,8 +405,6 @@ def study_small(tmp_path_factory):
         "nodes_per_layer = 24\n"
         "bs_levels = 1, 2\n"
         "n_nodes = 3001\n"
-        "y_min = -18\n"
-        "y_max = 32\n"
     )
     out = root / "study"
     assert main(["study", "--config", str(cfg), "--out", str(out), "--plots"]) == 0
@@ -420,6 +432,38 @@ def test_main_bs_and_spectrum_match_study(study_small, tmp_path):
     assert (out / "spectrum.csv").read_bytes() == (study / "scaling.csv").read_bytes()
     for name in ("bs.svg", "spectrum.svg"):
         assert (out / name).read_text().startswith("<svg"), name
+
+
+def test_spectrum_and_study_write_the_same_mu_bytes(tmp_path):
+    # mu_1's last bits depend on how many M0 eigenvalues are solved for, so
+    # spectrum (n_pairs = 1) and study (top level 4) must ask for the same number
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.1, 0.05\nn_pairs = 1\nnodes_per_layer = 24\nbs_levels = 1, 2, 3, 4\n")
+    mu_1 = {}
+    for command in ("spectrum", "study"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        mu_1[command] = read_summary(out / "summary.txt")["mu_1"]
+    assert mu_1["spectrum"] == mu_1["study"]
+
+
+@pytest.mark.parametrize(("command", "levels", "k"),
+                         [("spectrum", "1, 2", 8), ("bs", "1, 2", 8), ("study", "3, 10", 10)])
+def test_every_command_solves_m0_for_k_max_of_8_and_the_top_level(
+        command, levels, k, tmp_path, monkeypatch):
+    asked = []
+
+    def spy(op, count, label="generic"):
+        if label == "M0":
+            asked.append(count)
+        return eig_smallest(op, count, label=label)
+
+    monkeypatch.setattr(cli, "eig_smallest", spy)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"eps = 0.1, 0.05\nn_pairs = 1\nnodes_per_layer = 24\nn_nodes = 2001\n"
+                   f"bs_levels = {levels}\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert asked == [k]
 
 
 def test_main_study_d3_writes_the_d1_spectrum_tables(tmp_path):
@@ -450,8 +494,6 @@ def test_main_outputs_are_deterministic(tmp_path):
         "n_pairs = 2\n"
         "nodes_per_layer = 24\n"
         "n_nodes = 3001\n"
-        "y_min = -18\n"
-        "y_max = 32\n"
     )
     outputs = []
     for name in ("first", "second"):

@@ -14,10 +14,10 @@ from tfpainleve import (
     first_difference,
     second_difference,
     solve_hastings_mcleod,
-    tail_fit_window,
 )
 from tfpainleve import painleve
-from tfpainleve.corrections import TAIL_EXPONENTS, interaction_triples, loglog_slope
+from tfpainleve.corrections import (TAIL_EXPONENTS, TAIL_FIT_WINDOW, interaction_triples,
+                                    loglog_slope)
 
 
 def interior_residual(sol, v, rhs):
@@ -94,7 +94,7 @@ def test_corrections_meet_their_boundary_values(sol, cset1, cset2, cset3, d):
 def test_correction_tail_slopes(sol, cset1, cset2, cset3, d, n):
     cset = {1: cset1, 2: cset2, 3: cset3}[d]
     y = sol.grid.nodes
-    lo, up = tail_fit_window(sol)
+    lo, up = TAIL_FIT_WINDOW
     mask = (y >= lo) & (y <= up)
     slope = loglog_slope(y[mask], cset.terms[n - 1][mask])
     assert abs(slope - (TAIL_EXPONENTS[d] - 2.0 * n)) <= 0.5
@@ -104,7 +104,7 @@ def test_first_forcing_cancellation_in_d1(sol):
     # -2 nu0' and -4 y nu0'' cancel at leading order, leaving a y^(-7/2) tail
     F1 = assemble_Fn(sol, [], 1, 1)
     y = sol.grid.nodes
-    lo, up = tail_fit_window(sol)
+    lo, up = TAIL_FIT_WINDOW
     mask = (y >= lo) & (y <= up)
     assert loglog_slope(y[mask], F1[mask]) == pytest.approx(-3.5, abs=0.3)
 

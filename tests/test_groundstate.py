@@ -121,6 +121,16 @@ def test_composite_eta_rejects_coordinates_beyond_profile_grid(cset1):
         composite_eta(cset1, 0.003, 0.0)
 
 
+@pytest.mark.parametrize(("eps", "admitted"), [(0.003953, True), (0.00395, False)])
+def test_layer_window_reaches_the_trap_centre_down_to_eps_0_003953(eps, admitted):
+    # the window's right end y = 40 is eps^(-2/3) at eps = 40^(-3/2) = 0.0039528
+    if admitted:
+        groundstate.check_ground_state(eps, 1, 40)
+    else:
+        with pytest.raises(ValueError, match="beyond the layer window end y = 40"):
+            groundstate.check_ground_state(eps, 1, 40)
+
+
 def test_solve_validation(cset1, cset3):
     with pytest.raises(ValueError):
         solve_ground_state(0.0, cset1)

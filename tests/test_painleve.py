@@ -150,18 +150,11 @@ def test_interp_rejects_outside_domain(sol):
         sol.interp_nu0(sol.grid.a - 1e-9)
 
 
-@pytest.mark.parametrize("window", [{"y_max": np.inf}, {"y_min": np.nan}, {"y_min": -np.inf}])
-def test_solve_rejects_a_non_finite_window(window):
-    # inf passes a bare "covers [-15, 30]" test and NaN fails every comparison
-    with pytest.raises(ValueError, match="layer grid"):
-        solve_hastings_mcleod(**window)
-
-
-def test_solve_holds_at_the_left_end_of_the_window(profile_floor):
-    # y_min = -41 fails on this grid (not strictly increasing); -40 solves
-    fine = solve_hastings_mcleod(y_min=-40.0, y_max=40.0, n_nodes=120001)
-    assert fine.residual_max <= profile_floor(fine)
-    assert np.all(fine.nu0 > 0.0) and np.all(np.diff(fine.nu0) > 0.0)
+def test_coarsest_admissible_grid_has_spacing_below_0_0301():
+    # the fixed window and the 2000-node floor bound the spacing: h = 60 / 1999
+    coarse = solve_hastings_mcleod(n_nodes=2000)
+    assert (coarse.grid.a, coarse.grid.b) == painleve.LAYER_WINDOW
+    assert coarse.grid.spacing <= 0.0301
 
 
 @pytest.mark.parametrize(("tol", "fragment"), [(0.0, "positive"), (-1.0, "positive"),

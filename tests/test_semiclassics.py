@@ -134,7 +134,7 @@ def test_bs_eigenvalue_action_budget(sol, monkeypatch):
 
 
 def test_bs_levels_fill_the_certified_range(sol):
-    # levels 12-14 fit under W0(y_min) = 20, the lower end value of the default
+    # levels 12-14 fit under W0(-20) = 20, the value at the left end of the layer
     # window, though doubling the bracket span from the well stepped past it
     profile = from_solution(sol)
     top = min(profile.ws[0], profile.ws[-1])
