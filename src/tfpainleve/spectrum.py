@@ -24,6 +24,8 @@ from .groundstate import GroundState, ground_state_ladder, trap_operator
 from .painleve import ConvergenceError
 
 _POSITIVE_TAGS = ("M0", "LplusNeumann", "LplusDirichlet")
+# dstebz's first-pass bisection width, relative to the Gershgorin scale
+_BISECTION_TOL = 1e-10
 
 
 @record
@@ -79,16 +81,17 @@ def _check_info(routine: str, info: int) -> None:
         raise ConvergenceError(f"LAPACK {routine} did not converge (info = {info})")
 
 
-def _tridiagonal_pairs(d: np.ndarray, e: np.ndarray, k: int):
+def _tridiagonal_pairs(d: np.ndarray, e: np.ndarray, k: int, abstol: float):
     """k smallest eigenpairs, ascending: the calls eigh_tridiagonal makes for stebz.
 
-    dstebz (range 2: indices 1..k, default abstol, block order "B" as dstein
-    needs), dstein on the m values found, then an argsort into matrix order.
-    One node has the pair (d[0], [[1.0]]); dstebz rejects n = 1 arrays.
+    dstebz (range 2: indices 1..k, bisection to width ``abstol``, where 0
+    means ulp * |T|, block order "B" as dstein needs), dstein on the m values
+    found, then an argsort into matrix order.  One node has the pair
+    (d[0], [[1.0]]); dstebz rejects n = 1 arrays.
     """
     if d.size == 1:
         return d.copy(), np.ones((1, 1))
-    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, k, abstol, "B")
     _check_info("dstebz", info)
     if m < k:
         raise ConvergenceError(f"LAPACK dstebz found {m} of the {k} smallest eigenvalues")
@@ -109,6 +112,11 @@ def eig_smallest(op: TridiagonalOperator, k: int, label: str = "generic") -> Spe
     Gershgorin scale; the reported eigenvalue is the Rayleigh quotient of its
     vector, which may drift from the bisection value by at most 1e-8 times
     that scale.  Each vector's largest-magnitude entry is positive.
+
+    Bisection stops at width _BISECTION_TOL times the scale: the Rayleigh
+    quotient's error is quadratic in the vector's, so it supplies the last
+    digits.  If any pair fails either gate, the solve is repeated once with
+    bisection to full precision (abstol 0), and only that pass may raise.
     """
     if not np.array_equal(op.sub, op.sup):
         raise ValueError("eig_smallest needs a symmetric operator")
@@ -123,22 +131,30 @@ def eig_smallest(op: TridiagonalOperator, k: int, label: str = "generic") -> Spe
         raise ValueError("zero operator")
     if not np.isfinite(scale):
         raise ValueError("operator has non-finite entries")
-    approx, vecs = _tridiagonal_pairs(op.diag, op.sub, k)
-
-    tv = np.column_stack([op.apply(u) for u in vecs.T])
-    evals = np.einsum("ij,ij->j", vecs, tv)
-    residual = np.linalg.norm(tv - evals * vecs, axis=0)
     res_tol = 64.0 * np.finfo(float).eps * scale
     drift_tol = 1e-8 * scale
-    for j in range(k):
+    for abstol in (_BISECTION_TOL * scale, 0.0):
+        approx, vecs = _tridiagonal_pairs(op.diag, op.sub, k, abstol)
+        # op.apply on all columns at once, in its operation order; row-major, so
+        # the quotients and residuals sum in the order of one op.apply per column
+        vecs = np.ascontiguousarray(vecs)
+        tv = op.diag[:, None] * vecs
+        tv[:-1] += op.sup[:, None] * vecs[1:]
+        tv[1:] += op.sub[:, None] * vecs[:-1]
+        evals = np.einsum("ij,ij->j", vecs, tv)
+        residual = np.linalg.norm(tv - evals * vecs, axis=0)
+        bad = ~(residual <= res_tol) | (np.abs(evals - approx) > drift_tol)
+        if not bad.any():
+            break
+    else:
+        j = int(np.argmax(bad))
         if not residual[j] <= res_tol:
             raise ConvergenceError(
                 f"eigenpair {j + 1} residual {residual[j]:.3e} exceeds {res_tol:.3e}"
             )
-        if abs(evals[j] - approx[j]) > drift_tol:
-            raise ConvergenceError(
-                f"Rayleigh quotient drifted from its bisection value for eigenvalue {j + 1}"
-            )
+        raise ConvergenceError(
+            f"Rayleigh quotient drifted from its bisection value for eigenvalue {j + 1}"
+        )
     imax = np.argmax(np.abs(vecs), axis=0)
     vecs *= np.where(vecs[imax, np.arange(k)] < 0.0, -1.0, 1.0)
 

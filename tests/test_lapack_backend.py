@@ -2,7 +2,7 @@
 
 Whichever module supplies the routines, the results must be the bits that
 ``scipy.linalg`` gives: ``solve_tridiagonal`` is dgtsv, and ``eig_smallest``
-makes the calls of ``eigh_tridiagonal(select="i", lapack_driver="stebz")``.
+makes the calls of ``eigh_tridiagonal(select="i", lapack_driver="stebz", tol=...)``.
 """
 
 import importlib.machinery
@@ -65,14 +65,24 @@ def test_eigenpairs_bit_identical_through_both_modules(monkeypatch, sol, gs1_eps
 def test_eigenpairs_match_eigh_tridiagonal(sol, gs1_eps01):
     for op, k, label in _operators(sol, gs1_eps01):
         report = eig_smallest(op, k, label)
-        w, v = eigh_tridiagonal(
-            op.diag, op.sub, select="i", select_range=(0, k - 1), lapack_driver="stebz"
+        # the first pass bisects to _BISECTION_TOL times the Gershgorin scale
+        rad = np.zeros(op.n)
+        rad[:-1] += np.abs(op.sub)
+        rad[1:] += np.abs(op.sub)
+        gershgorin = max(abs(float(np.min(op.diag - rad))), abs(float(np.max(op.diag + rad))))
+        _, v = eigh_tridiagonal(
+            op.diag, op.sub, select="i", select_range=(0, k - 1), lapack_driver="stebz",
+            tol=spectrum_module._BISECTION_TOL * gershgorin,
         )
         imax = np.argmax(np.abs(v), axis=0)
         v = v * np.where(v[imax, np.arange(k)] < 0.0, -1.0, 1.0)
         np.testing.assert_array_equal(report.eigenvectors, v)
         # reported values are Rayleigh quotients of these vectors, within
-        # rounding of the bisection values
+        # rounding of the full-precision bisection values
+        w = eigh_tridiagonal(
+            op.diag, op.sub, eigvals_only=True, select="i", select_range=(0, k - 1),
+            lapack_driver="stebz", tol=0.0,
+        )
         scale = np.abs(op.diag).max() + 2.0 * np.abs(op.sub).max()
         np.testing.assert_allclose(report.eigenvalues, w, rtol=0.0,
                                    atol=4.0 * np.finfo(float).eps * scale)

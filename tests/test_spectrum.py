@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,9 +15,11 @@ from tfpainleve import (
     eig_smallest,
     scaling_study,
     solve_ground_state,
+    solve_hastings_mcleod,
     from_solution,
     uniform_grid,
 )
+from tfpainleve import cli
 from tfpainleve.grids import TridiagonalOperator
 from tfpainleve.groundstate import trap_operator
 
@@ -168,6 +173,78 @@ def test_eig_smallest_rejects_inaccurate_pairs(monkeypatch):
     monkeypatch.setattr(spectrum_module, "_tridiagonal_pairs", shifted_values)
     with pytest.raises(ConvergenceError, match="drifted"):
         eig_smallest(op, 3)
+
+
+def _workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _spy_bisections(monkeypatch):
+    """Record the abstol of every dstebz pass that eig_smallest makes."""
+    abstols = []
+    exact = spectrum_module._tridiagonal_pairs
+
+    def spy(d, e, k, abstol):
+        abstols.append(abstol)
+        return exact(d, e, k, abstol)
+
+    monkeypatch.setattr(spectrum_module, "_tridiagonal_pairs", spy)
+    return abstols
+
+
+@pytest.mark.parametrize(("workload", "bisections"), [("scaling_ladder", 21), ("study_d1", 7)])
+def test_workload_eigensolves_bisect_once_each(workload, bisections, tmp_path, monkeypatch):
+    # 20 L+ sectors and one M0 for spectrum; 6 L+ sectors and one M0 for study:
+    # no operator of a workload config takes the full-precision retry
+    abstols = _spy_bisections(monkeypatch)
+    wl = _workloads()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(wl.config_text(workload, 0))
+    assert cli.main(wl.argv(workload, str(cfg), str(tmp_path / "out"))) == 0
+    assert len(abstols) == bisections
+    assert all(a > 0.0 for a in abstols)
+
+
+def test_double_well_full_line_takes_the_full_precision_retry(gs1_eps01, monkeypatch):
+    # its tunnelling gap lies between the two bisection widths: the first pass
+    # fails the residual gate, the retry is the full-precision call
+    gs = gs1_eps01
+    op = TridiagonalOperator(*oracles.full_line_lplus(gs.eps, gs.grid.nodes, gs.eta))
+    abstols = _spy_bisections(monkeypatch)
+    retried = eig_smallest(op, 8)
+    assert len(abstols) == 2 and abstols[0] > 0.0 and abstols[1] == 0.0
+    monkeypatch.setattr(spectrum_module, "_BISECTION_TOL", 0.0)
+    direct = eig_smallest(op, 8)
+    assert abstols[2:] == [0.0]
+    np.testing.assert_array_equal(retried.eigenvalues, direct.eigenvalues)
+    np.testing.assert_array_equal(retried.eigenvectors, direct.eigenvectors)
+
+
+def _residual_gate(op, report):
+    """(largest residual |A u - lambda u|, its gate 64 eps_mach times the Gershgorin scale)."""
+    d, b = np.asarray(op.diag), np.asarray(op.sub)
+    rad = np.concatenate([np.abs(b), [0.0]]) + np.concatenate([[0.0], np.abs(b)])
+    scale = max(abs(np.min(d - rad)), abs(np.max(d + rad)))
+    vecs, lam = report.eigenvectors, report.eigenvalues
+    av = d[:, None] * vecs
+    av[1:] += b[:, None] * vecs[:-1]
+    av[:-1] += b[:, None] * vecs[1:]
+    return np.linalg.norm(av - lam * vecs, axis=0).max(), 64.0 * np.finfo(float).eps * scale
+
+
+def test_first_pass_holds_half_the_gate_on_the_largest_m0(monkeypatch):
+    # the largest residual found over M0 on 2,000-120,001 nodes and L+ over
+    # eps 0.5-0.005 was this operator's, 0.12 of the gate
+    op = assemble_M0(solve_hastings_mcleod(120001))
+    abstols = _spy_bisections(monkeypatch)
+    report = eig_smallest(op, 14, label="M0")
+    assert len(abstols) == 1
+    residual, gate = _residual_gate(op, report)
+    assert residual <= 0.5 * gate
 
 
 def test_eig_smallest_one_node():
