@@ -11,6 +11,7 @@ configuration, 2 first failing stage (named on standard error).
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -412,6 +413,9 @@ def main(argv=None) -> int:
         return 2
     return 0
 
+
+# all alive here (numpy, the package) lives until exit; frozen, exit does not collect it
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -120,10 +120,10 @@ def assemble_Fn(sol: PainleveSolution, terms, n: int, dimension: int) -> np.ndar
 
     F_n = - sum_{triples} nu_{n1} nu_{n2} nu_{n3} - 2 d nu_{n-1}' - 4 y nu_{n-1}''
     with the triple sum over indices below n summing to n, empty at n = 1.
-    Derivatives are differenced samples of nu_{n-1} (at n = 1 the same
-    ``first_difference`` of nu0 as ``sol.dnu0``), except that
-    nu0'' = (nu0^3 - y nu0) / 4 comes from the profile equation, so that the
-    far field of F_1 is series-accurate.
+    Derivatives are differenced samples of nu_{n-1}: at n = 1 nu0' is
+    ``sol.dnu0``, the ``first_difference`` the profile solve already took,
+    and nu0'' = (nu0^3 - y nu0) / 4 comes from the profile equation, so that
+    the far field of F_1 is series-accurate.
     """
     check_dimension(dimension)
     if not 1 <= n <= len(terms) + 1:
@@ -137,8 +137,11 @@ def assemble_Fn(sol: PainleveSolution, terms, n: int, dimension: int) -> np.ndar
     for n1, n2, n3 in interaction_triples(n):
         F -= term(n1) * term(n2) * term(n3)
     prev = term(n - 1)
-    curvature = 0.25 * (prev**3 - y * prev) if n == 1 else second_difference(prev, sol.grid)
-    F -= 2.0 * dimension * first_difference(prev, sol.grid)
+    if n == 1:
+        slope, curvature = sol.dnu0, 0.25 * (prev**3 - y * prev)
+    else:
+        slope, curvature = first_difference(prev, sol.grid), second_difference(prev, sol.grid)
+    F -= 2.0 * dimension * slope
     F -= 4.0 * y * curvature
     return F
 

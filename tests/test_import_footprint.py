@@ -4,7 +4,9 @@ scipy.interpolate alone pulls in scipy.optimize, scipy.special, scipy.fft and
 scipy.spatial, about a third of a cold ``tfp`` start.  The package
 ``__init__`` of scipy.linalg clones the numpy namespace and so imports
 numpy.f2py, numpy.testing, numpy.ma and numpy.random, about half of what is
-left; ``grids`` loads the LAPACK extension from its file instead.
+left; ``grids`` loads the LAPACK extension from its file instead.  The CLI
+import ends by freezing what it leaves alive, so that a cold run's exit does
+not collect it.
 """
 
 import ast
@@ -68,6 +70,38 @@ def test_run_loads_no_numpy_ma(tmp_path, command):
     ).stdout.split("\n")[:2]
     assert "numpy.ma" not in loaded.split()
     assert new.split() == []
+
+
+def test_cli_import_freezes_its_heap_and_leaves_the_collector_on():
+    # frozen, the import's objects are skipped by the collections at exit;
+    # a cycle made after the import is still collected, and the library
+    # import alone freezes nothing
+    code = (
+        "import gc, weakref, tfpainleve\n"
+        "assert gc.get_freeze_count() == 0, gc.get_freeze_count()\n"
+        "import tfpainleve.cli\n"
+        "assert gc.get_freeze_count() > 0, gc.get_freeze_count()\n"
+        "assert gc.isenabled()\n"
+        "class Node: pass\n"
+        "node = Node(); node.self = node; alive = weakref.ref(node); del node\n"
+        "gc.collect()\n"
+        "assert alive() is None"
+    )
+    subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, check=True)
+
+
+def test_main_runs_freeze_nothing(tmp_path):
+    # a freeze per call would keep the uncollected cycles of every earlier call
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_SMALL_RUNS["spectrum"])
+    run = f"cli.main(['spectrum', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}])"
+    code = (
+        "import gc\nfrom tfpainleve import cli\n"
+        "frozen = gc.get_freeze_count()\n"
+        f"assert {run} == 0 and {run} == 0\n"
+        "assert gc.get_freeze_count() == frozen, (frozen, gc.get_freeze_count())"
+    )
+    subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, check=True)
 
 
 def test_no_source_file_names_scipy_interpolate():
