@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import os
 import sys
 
@@ -88,9 +87,6 @@ def validate_config(cfg: dict, command: str | None = None) -> None:
 
     A module rule's ValueError becomes a ConfigError with the same message.
     """
-    for key, value in cfg.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value}")
     try:
         check_expansion(cfg["dimension"], cfg["order"])
         if command == "spectrum":
@@ -114,8 +110,8 @@ def validate_config(cfg: dict, command: str | None = None) -> None:
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _svg_plot(path, title, series, logx=False, logy=False):
-    """Minimal SVG polyline plot: axes box, series, and a text legend."""
+def _svg_plot(path, title, series, log=False):
+    """Minimal SVG polyline plot: axes box, series, text legend; ``log`` puts both axes on log10."""
     width, height = 640, 480
     ml, mr, mt, mb = 60, 20, 40, 40
     xs_all, ys_all = [], []
@@ -124,15 +120,12 @@ def _svg_plot(path, title, series, logx=False, logy=False):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         keep = np.isfinite(xs) & np.isfinite(ys)
-        if logx:
-            keep &= xs > 0.0
-        if logy:
-            keep &= ys > 0.0
+        if log:
+            keep &= (xs > 0.0) & (ys > 0.0)
         xs, ys = xs[keep], ys[keep]
         if xs.size == 0:
             continue
-        px = np.log10(xs) if logx else xs
-        py = np.log10(ys) if logy else ys
+        px, py = (np.log10(xs), np.log10(ys)) if log else (xs, ys)
         clean.append((name, px, py))
         xs_all.append(px)
         ys_all.append(py)
@@ -172,12 +165,12 @@ def _svg_plot(path, title, series, logx=False, logy=False):
                 f'font-size="12" fill="{color}">{name}</text>'
             )
         for val, sx in ((x0, ml), (x1, width - mr)):
-            label = f"{10.0 ** val:.3g}" if logx else f"{val:.3g}"
+            label = f"{10.0 ** val:.3g}" if log else f"{val:.3g}"
             parts.append(
                 f'<text x="{sx}" y="{height - mb + 18}" text-anchor="middle" font-size="12">{label}</text>'
             )
         for val, sy in ((y0, height - mb), (y1, mt)):
-            label = f"{10.0 ** val:.3g}" if logy else f"{val:.3g}"
+            label = f"{10.0 ** val:.3g}" if log else f"{val:.3g}"
             parts.append(
                 f'<text x="{ml - 6}" y="{sy + 4}" text-anchor="end" font-size="12">{label}</text>'
             )
@@ -212,12 +205,8 @@ class _Stages:
         return result
 
 
-def _solve_painleve(cfg):
-    return solve_hastings_mcleod(n_nodes=cfg["n_nodes"])
-
-
 def cmd_painleve(cfg, out, plots, stages) -> None:
-    sol = stages.run("painleve", lambda: _solve_painleve(cfg))
+    sol = stages.run("painleve", lambda: solve_hastings_mcleod(cfg["n_nodes"]))
     sol.to_csv(os.path.join(out, "painleve.csv"))
     # W0's well is certified on the profile, so a failure there is the profile stage's
     W = stages.run("painleve", lambda: from_solution(sol))
@@ -242,7 +231,7 @@ def cmd_painleve(cfg, out, plots, stages) -> None:
 
 def cmd_groundstate(cfg, out, plots, stages) -> None:
     d = cfg["dimension"]
-    sol = stages.run("painleve", lambda: _solve_painleve(cfg))
+    sol = stages.run("painleve", lambda: solve_hastings_mcleod(cfg["n_nodes"]))
     cset = stages.run("corrections", lambda: build_corrections(sol, d, order=cfg["order"]))
     states = ground_state_ladder(cset, cfg["eps"], tol=cfg["gs_tol"],
                                  nodes_per_layer=cfg["nodes_per_layer"])
@@ -311,7 +300,7 @@ def _scaling(cfg, sol, cset, stages):
 
 
 def cmd_spectrum(cfg, out, plots, stages) -> None:
-    sol = stages.run("painleve", lambda: _solve_painleve(cfg))
+    sol = stages.run("painleve", lambda: solve_hastings_mcleod(cfg["n_nodes"]))
     cset = stages.run("corrections", lambda: build_corrections(sol, 1, order=cfg["order"]))
     mu, table = _scaling(cfg, sol, cset, stages)
     table.to_csv(os.path.join(out, "spectrum.csv"))
@@ -322,7 +311,7 @@ def cmd_spectrum(cfg, out, plots, stages) -> None:
 
 
 def cmd_bs(cfg, out, plots, stages) -> None:
-    sol = stages.run("painleve", lambda: _solve_painleve(cfg))
+    sol = stages.run("painleve", lambda: solve_hastings_mcleod(cfg["n_nodes"]))
     levels = _bs_levels(cfg)
     mu = stages.run("bs", lambda: _m0_eigenvalues(sol, cfg))
     mu_bs, mu_m0, rel = _bs_table(sol, levels, mu, out, stages)
@@ -338,7 +327,7 @@ def cmd_bs(cfg, out, plots, stages) -> None:
 
 def cmd_study(cfg, out, plots, stages) -> None:
     d = cfg["dimension"]
-    sol = stages.run("painleve", lambda: _solve_painleve(cfg))
+    sol = stages.run("painleve", lambda: solve_hastings_mcleod(cfg["n_nodes"]))
     sol.to_csv(os.path.join(out, "painleve.csv"))
     order = cfg["order"]
     cset = stages.run("corrections", lambda: build_corrections(sol, d, order=order))
@@ -367,8 +356,7 @@ def cmd_study(cfg, out, plots, stages) -> None:
             os.path.join(out, "remainder.svg"),
             f"Composite remainder, d={d}, N={order}",
             [("sup error", remainder.eps, remainder.err)],
-            logx=True,
-            logy=True,
+            log=True,
         )
         _scaling_plot(os.path.join(out, "scaling.svg"), scaling, cfg["n_pairs"])
 

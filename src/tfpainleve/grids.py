@@ -82,7 +82,7 @@ def record(cls):
 
 @record
 class Grid1D:
-    """Uniform one-dimensional grid with nodes in increasing order.
+    """Uniform one-dimensional grid with finite nodes in increasing order.
 
     ``spacing`` is the scalar step ``nodes[1] - nodes[0]``; nodes whose steps
     differ from it beyond rounding are rejected.  Instances are immutable
@@ -96,6 +96,8 @@ class Grid1D:
         nodes = self.nodes
         if nodes.ndim != 1 or nodes.size < 3:
             raise ValueError(f"need at least 3 nodes in one dimension, got shape {nodes.shape}")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("grid nodes must be finite")
         steps = np.diff(nodes)
         if np.any(steps <= 0.0):
             raise ValueError("grid nodes must be strictly increasing")
@@ -119,6 +121,8 @@ class Grid1D:
 
 
 def uniform_grid(a: float, b: float, n: int) -> Grid1D:
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError(f"grid ends must be finite, got [{a}, {b}]")
     if not b > a:
         raise ValueError(f"empty interval [{a}, {b}]")
     return Grid1D(np.linspace(a, b, n))
@@ -144,12 +148,14 @@ class TridiagonalOperator:
         return self.diag.size
 
     def apply(self, v: np.ndarray) -> np.ndarray:
+        """The product with an (n,) vector, or with each column of an (n, k) block."""
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.n,):
-            raise ValueError(f"vector of shape {v.shape} does not match operator size {self.n}")
-        out = self.diag * v
-        out[:-1] += self.sup * v[1:]
-        out[1:] += self.sub * v[:-1]
+        if v.ndim not in (1, 2) or v.shape[0] != self.n:
+            raise ValueError(f"operand of shape {v.shape} does not match operator size {self.n}")
+        sub, diag, sup = (b if v.ndim == 1 else b[:, None] for b in (self.sub, self.diag, self.sup))
+        out = diag * v
+        out[:-1] += sup * v[1:]
+        out[1:] += sub * v[:-1]
         return out
 
 

@@ -174,16 +174,23 @@ _SURFACE = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
 
 def energy_of(eps: float, dimension: int, grid: Grid1D, eta: np.ndarray) -> float:
-    """Trap energy of an arbitrary radial profile (trapezoid quadrature).
+    """Trap energy of a radial profile on a grid from r = 0 (trapezoid quadrature).
 
-    E = |S^{d-1}| int ( eps^2 eta'^2 + (r^2 - 1) eta^2 + eta^4 / 2 ) r^{d-1} dr
+    E = |S^{d-1}| int g(r) r^{d-1} dr,  g = eps^2 eta'^2 + (r^2 - 1) eta^2 + eta^4 / 2
+
+    In d = 2 the integrand g r has slope g(0) at the origin, so the
+    Euler-Maclaurin endpoint term h^2/12 g(0) is added; in d = 1 and 3 that
+    slope is 0, and the profile decays at the far end.
     """
     check_dimension(dimension)
     r = grid.nodes
     deta = first_difference(eta, grid)
     density = eps * eps * deta**2 + (r * r - 1.0) * eta * eta + 0.5 * eta**4
     weight = np.ones_like(r) if dimension == 1 else r ** (dimension - 1)
-    return float(_SURFACE[dimension] * np.trapezoid(density * weight, r))
+    total = np.trapezoid(density * weight, r)
+    if dimension == 2:
+        total += grid.spacing**2 / 12.0 * density[0]
+    return float(_SURFACE[dimension] * total)
 
 
 def energy(gs: GroundState) -> float:

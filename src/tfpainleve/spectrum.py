@@ -135,12 +135,10 @@ def eig_smallest(op: TridiagonalOperator, k: int, label: str = "generic") -> Spe
     drift_tol = 1e-8 * scale
     for abstol in (_BISECTION_TOL * scale, 0.0):
         approx, vecs = _tridiagonal_pairs(op.diag, op.sub, k, abstol)
-        # op.apply on all columns at once, in its operation order; row-major, so
-        # the quotients and residuals sum in the order of one op.apply per column
+        # a row-major block, so the product, quotients and residuals sum in the
+        # order of one op.apply per column
         vecs = np.ascontiguousarray(vecs)
-        tv = op.diag[:, None] * vecs
-        tv[:-1] += op.sup[:, None] * vecs[1:]
-        tv[1:] += op.sub[:, None] * vecs[:-1]
+        tv = op.apply(vecs)
         evals = np.einsum("ij,ij->j", vecs, tv)
         residual = np.linalg.norm(tv - evals * vecs, axis=0)
         bad = ~(residual <= res_tol) | (np.abs(evals - approx) > drift_tol)

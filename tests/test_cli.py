@@ -191,16 +191,21 @@ def test_main_bad_config_is_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    # y_min and y_max are unknown keys: their lines exit 1 all the same
-    "line", ["gs_tol = inf", "y_min = nan", "y_max = inf", "y_min = -inf"]
+    # each message is the rule of the module that owns the key
+    "line, message",
+    [
+        ("gs_tol = inf", "gs_tol must be finite, got inf"),
+        ("eps = nan", "eps values must lie in (0, 0.5], got nan"),
+        ("eps = 0.1, inf", "eps values must lie in (0, 0.5], got inf"),
+    ],
+    ids=["gs_tol = inf", "eps = nan", "eps = 0.1, inf"],
 )
-def test_main_non_finite_value_is_exit_1(line, tmp_path, capsys):
+def test_main_non_finite_value_is_exit_1(line, message, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
     rc = main(["groundstate", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert "configuration error" in err and line.split(" = ")[0] in err
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

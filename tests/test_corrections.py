@@ -100,6 +100,22 @@ def test_correction_tail_slopes(sol, cset1, cset2, cset3, d, n):
     assert abs(slope - (TAIL_EXPONENTS[d] - 2.0 * n)) <= 0.5
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_every_correction_is_resolvable_on_the_tail_fit_window(sol, d):
+    # the slope fit has no noise floor: each fitted tail must stand well above rounding
+    y = sol.grid.nodes
+    lo, up = TAIL_FIT_WINDOW
+    mask = (y >= lo) & (y <= up)
+    for nu in build_corrections(sol, d, order=3).terms:
+        assert np.max(np.abs(nu[mask])) > 1e-9
+
+
+def test_a_wrong_tail_exponent_fails_the_slope_check(sol, monkeypatch):
+    monkeypatch.setitem(TAIL_EXPONENTS, 1, TAIL_EXPONENTS[1] + 2.0)
+    with pytest.raises(ValueError, match=r"nu_1 \(d=1\): right-tail slope"):
+        build_corrections(sol, 1, order=1)
+
+
 def test_first_forcing_cancellation_in_d1(sol):
     # -2 nu0' and -4 y nu0'' cancel at leading order, leaving a y^(-7/2) tail
     F1 = assemble_Fn(sol, [], 1, 1)

@@ -29,6 +29,19 @@ def test_uniform_grid_rejects_bad_bounds():
         uniform_grid(0.0, 1.0, 1)
 
 
+@pytest.mark.parametrize("nodes", [[0.0, np.nan, 2.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0]])
+def test_grid_rejects_non_finite_nodes(nodes):
+    with pytest.raises(ValueError, match="grid nodes must be finite"):
+        Grid1D(np.array(nodes))
+
+
+@pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan)])
+def test_uniform_grid_rejects_non_finite_ends(a, b):
+    # checked before linspace, which would warn on these ends
+    with pytest.raises(ValueError, match="grid ends must be finite"):
+        uniform_grid(a, b, 5)
+
+
 def test_grid_rejects_nonuniform_nodes():
     with pytest.raises(ValueError, match="uniformly spaced"):
         Grid1D(np.array([0.0, 0.1, 0.3, 0.4]))
@@ -60,6 +73,23 @@ def test_tridiagonal_apply_matches_dense(rng):
     )
     v = rng.standard_normal(n)
     np.testing.assert_allclose(op.apply(v), dense(op) @ v, atol=1e-13)
+
+
+def test_tridiagonal_apply_on_a_block_is_the_apply_of_each_column(rng):
+    n, k = 17, 4
+    op = TridiagonalOperator(
+        rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1)
+    )
+    block = rng.standard_normal((n, k))
+    columns = np.stack([op.apply(block[:, j]) for j in range(k)], axis=1)
+    np.testing.assert_array_equal(op.apply(block), columns)
+
+
+@pytest.mark.parametrize("shape", [(18,), (16, 2), (17, 2, 2)])
+def test_tridiagonal_apply_rejects_a_mismatched_operand(shape):
+    op = TridiagonalOperator(np.ones(16), np.ones(17), np.ones(16))
+    with pytest.raises(ValueError, match="does not match operator size 17"):
+        op.apply(np.ones(shape))
 
 
 def test_singular_pivot_reported():

@@ -31,6 +31,16 @@ def test_thomas_fermi_energy_matches_symbolic_quadrature():
     assert measured == pytest.approx(exact, abs=1e-12)
 
 
+@pytest.mark.parametrize("eps", [0.2, 0.05, 0.0125])
+def test_d2_energy_is_fourth_order_accurate(cset2, eps):
+    # with the origin's Euler-Maclaurin term the energy error is O(h^4), so
+    # Richardson from 160 and 320 nodes per layer is the reference
+    e40, e160, e320 = (energy(solve_ground_state(eps, cset2, tol=1e-12, nodes_per_layer=npl))
+                       for npl in (40, 160, 320))
+    richardson = (16.0 * e320 - e160) / 15.0
+    assert e40 == pytest.approx(richardson, rel=1e-8, abs=0.0)
+
+
 def test_ground_state_invariants(gs1_eps01):
     gs = gs1_eps01
     assert gs.residual_max <= gs.tol
