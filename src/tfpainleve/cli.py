@@ -2,10 +2,10 @@
 
 Subcommands: painleve | groundstate | spectrum | bs | study.  Configuration is
 a key=value text file (--config); results land in --out as CSV files with
-fixed column schemas plus a summary.txt, and --plots adds minimal SVG line
-plots.  Studies run one eps at a time in a single thread, so output is
-byte-identical for a given config.  Exit codes: 0 success, 1 bad
-configuration, 2 first failing stage (named on standard error).
+fixed column schemas, --plots adds minimal SVG line plots, and summary.txt,
+written last, marks a finished run.  Studies run one eps at a time in one
+thread, so output is byte-identical for a given config.  Exit codes: 0
+success, 1 bad configuration, 2 first failing stage (named on stderr).
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 
 from ._io import format_float, write_csv, write_lines
 from .corrections import build_corrections, check_expansion
-from .groundstate import (check_ground_state, energy, eps_ladder, ground_state_ladder,
-                          remainder_study)
+from .groundstate import (check_ground_state, check_remainder_eps, energy, eps_ladder,
+                          ground_state_ladder, remainder_study)
 from .painleve import assemble_M0, check_tol, check_window, solve_hastings_mcleod
 from .semiclassics import bs_eigenvalue, check_levels, from_solution
 from .spectrum import check_d1, eig_smallest, scaling_study
@@ -62,9 +62,9 @@ def load_config(path: str | None) -> dict:
         return cfg
     seen = {}
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             lines = f.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
@@ -94,6 +94,8 @@ def validate_config(cfg: dict, command: str | None = None) -> None:
         check_window(cfg["n_nodes"])
         for eps in eps_ladder(cfg["eps"]):
             check_ground_state(eps, cfg["dimension"], cfg["nodes_per_layer"])
+        if command == "study":
+            check_remainder_eps(cfg["eps"])
         check_levels(cfg["bs_levels"])
         check_tol(cfg["gs_tol"], "gs_tol")
     except ValueError as exc:
@@ -183,11 +185,6 @@ def _format_residual(value: float) -> str:
     return f"{value:.1e}"
 
 
-def _write_summary(path, pairs) -> None:
-    write_lines(path, [f"{key}={format_float(val) if isinstance(val, float) else val}"
-                       for key, val in pairs])
-
-
 class _Stages:
     """Runs named stages so a failure can be reported as 'stage X failed'.
 
@@ -205,21 +202,10 @@ class _Stages:
         return result
 
 
-def cmd_painleve(cfg, out, plots, stages) -> None:
-    sol = stages.run("painleve", lambda: solve_hastings_mcleod(cfg["n_nodes"]))
+def cmd_painleve(cfg, sol, out, plots, stages) -> list:
     sol.to_csv(os.path.join(out, "painleve.csv"))
     # W0's well is certified on the profile, so a failure there is the profile stage's
     W = stages.run("painleve", lambda: from_solution(sol))
-    _write_summary(
-        os.path.join(out, "summary.txt"),
-        [
-            ("nu0_at_0", float(sol.interp_nu0(0.0))),
-            ("W_min", W.well_value),
-            ("W_min_location", W.well_location),
-            ("residual_max", _format_residual(sol.residual_max)),
-            ("newton_iterations", sol.newton_iterations),
-        ],
-    )
     if plots:
         y = sol.grid.nodes
         _svg_plot(
@@ -227,11 +213,17 @@ def cmd_painleve(cfg, out, plots, stages) -> None:
             "Connection profile and layer potential",
             [("nu0", y, sol.nu0), ("W0", y, sol.w0)],
         )
+    return [
+        ("nu0_at_0", float(sol.interp_nu0(0.0))),
+        ("W_min", W.well_value),
+        ("W_min_location", W.well_location),
+        ("residual_max", _format_residual(sol.residual_max)),
+        ("newton_iterations", sol.newton_iterations),
+    ]
 
 
-def cmd_groundstate(cfg, out, plots, stages) -> None:
+def cmd_groundstate(cfg, sol, out, plots, stages) -> list:
     d = cfg["dimension"]
-    sol = stages.run("painleve", lambda: solve_hastings_mcleod(cfg["n_nodes"]))
     cset = stages.run("corrections", lambda: build_corrections(sol, d, order=cfg["order"]))
     states = ground_state_ladder(cset, cfg["eps"], tol=cfg["gs_tol"],
                                  nodes_per_layer=cfg["nodes_per_layer"])
@@ -245,13 +237,9 @@ def cmd_groundstate(cfg, out, plots, stages) -> None:
         summary.append((f"newton_floor_exit_eps{gs.eps:g}", int(gs.residual_max > cfg["gs_tol"])))
         if plots:
             series.append((f"eta eps={gs.eps:g}", gs.grid.nodes, gs.eta))
-    _write_summary(os.path.join(out, "summary.txt"), summary)
     if plots:
         _svg_plot(os.path.join(out, "groundstate.svg"), f"Ground states, d={d}", series)
-
-
-def _bs_levels(cfg) -> tuple:
-    return tuple(sorted(cfg["bs_levels"]))
+    return summary
 
 
 def _m0_eigenvalues(sol, cfg):
@@ -259,15 +247,16 @@ def _m0_eigenvalues(sol, cfg):
 
     mu_n's last bits (about 1e-13 relative) depend on k.
     """
-    k = max(_MAX_PAIRS, _bs_levels(cfg)[-1])
+    k = max(_MAX_PAIRS, max(cfg["bs_levels"]))
     return eig_smallest(assemble_M0(sol), k, label="M0").eigenvalues
 
 
-def _bs_table(sol, levels, mu, out, stages):
-    """Bohr-Sommerfeld energies of ``levels`` against the M0 eigenvalues ``mu``, into bs.csv.
+def _bs_table(sol, cfg, mu, out, stages):
+    """Bohr-Sommerfeld energies of the sorted ``bs_levels`` against M0's ``mu``, into bs.csv.
 
-    Runs the quadrature as stage "bs"; returns (mu_bs, mu_m0, relative error).
+    Runs the quadrature as stage "bs"; returns (levels, mu_bs, mu_m0, relative error).
     """
+    levels = tuple(sorted(cfg["bs_levels"]))
     mu_bs = stages.run("bs", lambda: bs_eigenvalue(from_solution(sol), levels))
     ns = np.asarray(levels)
     mu_m0 = mu[ns - 1]
@@ -277,7 +266,7 @@ def _bs_table(sol, levels, mu, out, stages):
         ["n", "mu_bs", "mu_m0", "rel_err"],
         [ns.astype(float), mu_bs, mu_m0, rel],
     )
-    return mu_bs, mu_m0, rel
+    return levels, mu_bs, mu_m0, rel
 
 
 def _scaling_plot(path, table, n_pairs) -> None:
@@ -299,23 +288,18 @@ def _scaling(cfg, sol, cset, stages):
     return stages.run("scaling", run)
 
 
-def cmd_spectrum(cfg, out, plots, stages) -> None:
-    sol = stages.run("painleve", lambda: solve_hastings_mcleod(cfg["n_nodes"]))
+def cmd_spectrum(cfg, sol, out, plots, stages) -> list:
     cset = stages.run("corrections", lambda: build_corrections(sol, 1, order=cfg["order"]))
     mu, table = _scaling(cfg, sol, cset, stages)
     table.to_csv(os.path.join(out, "spectrum.csv"))
-    _write_summary(os.path.join(out, "summary.txt"),
-                   [(f"mu_{i + 1}", float(m)) for i, m in enumerate(mu[:cfg["n_pairs"]])])
     if plots:
         _scaling_plot(os.path.join(out, "spectrum.svg"), table, cfg["n_pairs"])
+    return [(f"mu_{i + 1}", float(m)) for i, m in enumerate(mu[:cfg["n_pairs"]])]
 
 
-def cmd_bs(cfg, out, plots, stages) -> None:
-    sol = stages.run("painleve", lambda: solve_hastings_mcleod(cfg["n_nodes"]))
-    levels = _bs_levels(cfg)
+def cmd_bs(cfg, sol, out, plots, stages) -> list:
     mu = stages.run("bs", lambda: _m0_eigenvalues(sol, cfg))
-    mu_bs, mu_m0, rel = _bs_table(sol, levels, mu, out, stages)
-    _write_summary(os.path.join(out, "summary.txt"), [("max_rel_err", float(rel.max()))])
+    levels, mu_bs, mu_m0, rel = _bs_table(sol, cfg, mu, out, stages)
     if plots:
         ns = np.asarray(levels, dtype=float)
         _svg_plot(
@@ -323,11 +307,11 @@ def cmd_bs(cfg, out, plots, stages) -> None:
             "Bohr-Sommerfeld vs layer operator",
             [("mu_bs", ns, mu_bs), ("mu_m0", ns, mu_m0)],
         )
+    return [("max_rel_err", float(rel.max()))]
 
 
-def cmd_study(cfg, out, plots, stages) -> None:
+def cmd_study(cfg, sol, out, plots, stages) -> list:
     d = cfg["dimension"]
-    sol = stages.run("painleve", lambda: solve_hastings_mcleod(cfg["n_nodes"]))
     sol.to_csv(os.path.join(out, "painleve.csv"))
     order = cfg["order"]
     cset = stages.run("corrections", lambda: build_corrections(sol, d, order=order))
@@ -337,20 +321,10 @@ def cmd_study(cfg, out, plots, stages) -> None:
     cset1 = cset if d == 1 else stages.run(
         "corrections", lambda: build_corrections(sol, 1, order=order)
     )
-    levels = _bs_levels(cfg)
     # one M0 solve serves both the scaling table and the Bohr-Sommerfeld table
     mu, scaling = _scaling(cfg, sol, cset1, stages)
     scaling.to_csv(os.path.join(out, "scaling.csv"))
-    _bs_table(sol, levels, mu, out, stages)
-    _write_summary(
-        os.path.join(out, "summary.txt"),
-        [
-            ("dimension", d),
-            ("order", order),
-            ("remainder_fit_order", remainder.fit_order),
-            ("mu_1", float(scaling.mu[0])),
-        ],
-    )
+    _bs_table(sol, cfg, mu, out, stages)
     if plots:
         _svg_plot(
             os.path.join(out, "remainder.svg"),
@@ -359,8 +333,15 @@ def cmd_study(cfg, out, plots, stages) -> None:
             log=True,
         )
         _scaling_plot(os.path.join(out, "scaling.svg"), scaling, cfg["n_pairs"])
+    return [
+        ("dimension", d),
+        ("order", order),
+        ("remainder_fit_order", remainder.fit_order),
+        ("mu_1", float(scaling.mu[0])),
+    ]
 
 
+# each command takes the solved profile and returns its summary's (key, value) pairs
 _COMMANDS = {
     "painleve": cmd_painleve,
     "groundstate": cmd_groundstate,
@@ -394,7 +375,12 @@ def main(argv=None) -> int:
     stages = _Stages()
     try:
         os.makedirs(args.out, exist_ok=True)
-        _COMMANDS[args.command](cfg, args.out, args.plots, stages)
+        sol = stages.run("painleve", lambda: solve_hastings_mcleod(cfg["n_nodes"]))
+        summary = _COMMANDS[args.command](cfg, sol, args.out, args.plots, stages)
+        # written last, so that its presence marks a finished run
+        write_lines(os.path.join(args.out, "summary.txt"),
+                    [f"{key}={format_float(val) if isinstance(val, float) else val}"
+                     for key, val in summary])
     except Exception as exc:  # noqa: BLE001 - every stage failure maps to exit 2
         stage = stages.current or "setup"
         print(f"stage {stage} failed: {exc}", file=sys.stderr)

@@ -240,6 +240,12 @@ class RemainderTable:
         write_csv(path, ["eps", "err", "order"], [self.eps, self.err, self.pair_order])
 
 
+def check_remainder_eps(eps_list) -> None:
+    """ValueError unless ``eps_list`` has the two or more values an empirical order needs."""
+    if len(eps_list) < 2:
+        raise ValueError("remainder study needs at least two eps values")
+
+
 def remainder_study(cset: CorrectionSet, eps_list) -> RemainderTable:
     """Measure sup |eta_eps - composite| and its empirical order in eps.
 
@@ -248,8 +254,7 @@ def remainder_study(cset: CorrectionSet, eps_list) -> RemainderTable:
     iterates the full nonlinear problem to its own tolerance (1e-10, on 80
     nodes per layer width).
     """
-    if len(eps_list) < 2:
-        raise ValueError("remainder study needs at least two eps values")
+    check_remainder_eps(eps_list)
     ladder = [(gs.eps, float(np.abs(gs.eta - gs.composite).max()))
               for gs in ground_state_ladder(cset, eps_list, tol=1e-10, nodes_per_layer=80)]
     eps_arr, errs = (np.asarray(col, dtype=float) for col in zip(*ladder))

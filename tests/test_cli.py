@@ -101,6 +101,29 @@ def test_load_config_errors(tmp_path):
         load_config(str(repeated))
 
 
+def test_config_file_that_is_not_utf8_is_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"eps = 0.1\n# caf\xff\n")
+    with pytest.raises(ConfigError, match="cannot read config file: 'utf-8' codec"):
+        load_config(str(cfg))
+    rc = main(["painleve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("configuration error: cannot read config file: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_study_with_one_eps_is_exit_1_before_anything_is_written(tmp_path, capsys):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("eps = 0.1\n")
+    rc = main(["study", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "configuration error: remainder study needs at least two eps values\n")
+    assert not (tmp_path / "out").exists()
+    # only the remainder stage of `tfp study` fits an order to the eps ladder
+    validate_config(load_config(str(cfg)), "groundstate")
+
+
 @pytest.mark.parametrize(
     ("key", "value", "fragment"),
     [
@@ -369,6 +392,35 @@ def test_groundstate_write_failure_is_stage_output(tmp_path, capsys):
     assert main(["groundstate", "--config", str(cfg), "--out", str(out)]) == 2
     assert "stage output failed" in capsys.readouterr().err
     assert (out / "groundstate_d1_eps0.1.csv").is_file()
+
+
+def test_summary_is_written_last(tmp_path, capsys):
+    # a plot that cannot be written fails the run before summary.txt, which marks a finished run
+    out = tmp_path / "out"
+    (out / "groundstate.svg").mkdir(parents=True)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.1\nnodes_per_layer = 24\nn_nodes = 2001\n")
+    assert main(["groundstate", "--config", str(cfg), "--out", str(out), "--plots"]) == 2
+    assert "stage output failed" in capsys.readouterr().err
+    assert (out / "groundstate_d1_eps0.1.csv").is_file()
+    assert not (out / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_command_solves_the_profile_once(command, tmp_path, monkeypatch):
+    calls = []
+
+    def spy(n_nodes):
+        calls.append(n_nodes)
+        return solve_hastings_mcleod(n_nodes)
+
+    monkeypatch.setattr(cli, "solve_hastings_mcleod", spy)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.1, 0.05\nn_pairs = 1\nnodes_per_layer = 24\nn_nodes = 2001\n"
+                   "bs_levels = 1, 2\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [2001]
+    assert (tmp_path / "out" / "summary.txt").is_file()
 
 
 def test_main_stage_failure_is_exit_2(tmp_path, capsys):
