@@ -22,7 +22,7 @@ from .corrections import build_corrections, check_expansion
 from .groundstate import (check_ground_state, check_remainder_eps, energy, eps_ladder,
                           ground_state_ladder, remainder_study)
 from .painleve import assemble_M0, check_tol, check_window, solve_hastings_mcleod
-from .semiclassics import bs_eigenvalue, check_levels, from_solution
+from .semiclassics import bs_eigenvalue, check_layer_levels, check_levels, from_solution
 from .spectrum import check_d1, eig_smallest, scaling_study
 
 
@@ -62,8 +62,9 @@ def load_config(path: str | None) -> dict:
         return cfg
     seen = {}
     try:
+        # a leading byte-order mark is dropped here: the utf-8-sig codec is one more import
         with open(path, encoding="utf-8") as f:
-            lines = f.readlines()
+            lines = f.read().removeprefix("\ufeff").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
@@ -97,6 +98,8 @@ def validate_config(cfg: dict, command: str | None = None) -> None:
         if command == "study":
             check_remainder_eps(cfg["eps"])
         check_levels(cfg["bs_levels"])
+        if command in ("bs", "study"):
+            check_layer_levels(cfg["bs_levels"])
         check_tol(cfg["gs_tol"], "gs_tol")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -222,11 +225,16 @@ def cmd_painleve(cfg, sol, out, plots, stages) -> list:
     ]
 
 
+def _ladder(cfg, cset):
+    """The config's ground states of ``cset``, solved lazily, eps descending."""
+    return ground_state_ladder(cset, cfg["eps"], tol=cfg["gs_tol"],
+                               nodes_per_layer=cfg["nodes_per_layer"])
+
+
 def cmd_groundstate(cfg, sol, out, plots, stages) -> list:
     d = cfg["dimension"]
     cset = stages.run("corrections", lambda: build_corrections(sol, d, order=cfg["order"]))
-    states = ground_state_ladder(cset, cfg["eps"], tol=cfg["gs_tol"],
-                                 nodes_per_layer=cfg["nodes_per_layer"])
+    states = _ladder(cfg, cset)
     # each state's CSV is written as it is solved; only its summary and plot data stay
     summary, series = [], []
     while (gs := stages.run("groundstate", lambda: next(states, None))) is not None:
@@ -282,8 +290,7 @@ def _scaling(cfg, sol, cset, stages):
     """Stage "scaling": (the M0 eigenvalues mu, the scaled L+ table of ``cset``)."""
     def run():
         mu = _m0_eigenvalues(sol, cfg)
-        return mu, scaling_study(cset, cfg["eps"], mu, n_pairs=cfg["n_pairs"],
-                                 nodes_per_layer=cfg["nodes_per_layer"], gs_tol=cfg["gs_tol"])
+        return mu, scaling_study(_ladder(cfg, cset), mu, cfg["n_pairs"])
 
     return stages.run("scaling", run)
 

@@ -95,6 +95,18 @@ def from_solution(sol: PainleveSolution) -> PotentialProfile:
     return from_function(UniformSpline(sol.grid, sol.w0), sol.grid.a, sol.grid.b)
 
 
+# W0's certified range on painleve.LAYER_WINDOW tops out at W0(-20) = 20, where the
+# action is 89.4715 on 2,000 to 120,001 nodes: pi (2n - 1) fits under it up to n = 14
+LAYER_MAX_LEVEL = 14
+
+
+def check_layer_levels(n) -> None:
+    """ValueError unless ``bs_eigenvalue(from_solution(sol), n)`` fits each level n under the top."""
+    if np.any(np.asarray(n) > LAYER_MAX_LEVEL):
+        raise ValueError(f"bs_levels entries must be at most {LAYER_MAX_LEVEL}, the last level "
+                         f"under W0's certified range on the layer window, got {max(n)}")
+
+
 def _bracket_table(W: PotentialProfile, side: int):
     """The well bottom, then the scan outward: positions, W, sqrt(running max W - W.well_value).
 

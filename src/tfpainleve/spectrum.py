@@ -18,9 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._io import write_csv
-from .corrections import CorrectionSet
 from .grids import TridiagonalOperator, lapack, record
-from .groundstate import GroundState, ground_state_ladder, trap_operator
+from .groundstate import GroundState, trap_operator
 from .painleve import ConvergenceError
 
 _POSITIVE_TAGS = ("M0", "LplusNeumann", "LplusDirichlet")
@@ -163,7 +162,7 @@ def eig_smallest(op: TridiagonalOperator, k: int, label: str = "generic") -> Spe
 class ScalingTable:
     """Half-line eigenvalue pairs over an eps ladder against the M0 limits.
 
-    Row order: eps descending, pair index n = 1..n_pairs within each eps.
+    Row order: the states' order, pair index n = 1..n_pairs within each eps.
     lambda_odd / lambda_even are the odd- / even-indexed full-line eigenvalues
     lambda_{2n-1} (Neumann sector) and lambda_{2n} (Dirichlet sector);
     pair_gap is the relative split (lambda_even - lambda_odd) / lambda_even.
@@ -195,29 +194,23 @@ class ScalingTable:
         )
 
 
-def scaling_study(
-    cset: CorrectionSet,
-    eps_list,
-    mu,
-    n_pairs: int = 3,
-    nodes_per_layer: int = 40,
-    gs_tol: float = 1e-8,
-) -> ScalingTable:
+def scaling_study(states, mu, n_pairs: int) -> ScalingTable:
     """Tabulate lambda_{2n-1}, lambda_{2n} and their eps^(2/3) scalings vs mu_n.
 
-    Ground states are seeded with the composite approximation and solved one
-    eps at a time in descending order.  ``mu`` holds the smallest M0
-    eigenvalues mu_1, mu_2, ... of ``cset.profile``, at least n_pairs of them.
+    ``states`` are d = 1 ground states, tabulated in the order given, each
+    eigen-solved as it is drawn (a lazy ladder is solved one eps at a time).
+    ``mu`` holds the smallest M0 eigenvalues mu_1, mu_2, ..., at least n_pairs.
     """
-    check_d1(cset.dimension)
     if len(mu) < n_pairs:
         raise ValueError(f"mu holds {len(mu)} M0 eigenvalues, need n_pairs = {n_pairs}")
 
     eps, odd, even = [], [], []
-    for gs in ground_state_ladder(cset, eps_list, nodes_per_layer=nodes_per_layer, tol=gs_tol):
+    for gs in states:
         eps.append(gs.eps)
         odd.append(eig_smallest(assemble_Lplus(gs, "Neumann"), n_pairs, label="LplusNeumann"))
         even.append(eig_smallest(assemble_Lplus(gs, "Dirichlet"), n_pairs, label="LplusDirichlet"))
+    if not eps:
+        raise ValueError("scaling_study needs at least one ground state")
     lam_odd, lam_even = (np.concatenate([r.eigenvalues for r in col]) for col in (odd, even))
     scale = np.repeat([e ** (2.0 / 3.0) for e in eps], n_pairs)
     return ScalingTable(

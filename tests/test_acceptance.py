@@ -31,6 +31,7 @@ from tfpainleve import (
     uniform_grid,
 )
 from tfpainleve.corrections import TAIL_EXPONENTS, TAIL_FIT_WINDOW, loglog_slope
+from tfpainleve.groundstate import ground_state_ladder
 
 EPS_LIST = (0.1, 0.05, 0.025)
 
@@ -111,7 +112,7 @@ def test_criterion_06_composite_remainder_orders(cset1, cset3):
 
 
 def test_criterion_07_eigenvalue_scaling_law(cset1, m0_report):
-    table = scaling_study(cset1, EPS_LIST, m0_report.eigenvalues, n_pairs=1)
+    table = scaling_study(ground_state_ladder(cset1, EPS_LIST), m0_report.eigenvalues, 1)
     mu1 = float(table.mu[0])
     pick = table.n == 1
     eps = table.eps[pick]

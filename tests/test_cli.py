@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfpainleve import (ConvergenceError, bs_eigenvalue, build_corrections, eig_smallest,
-                        from_solution, scaling_study, solve_ground_state,
-                        solve_hastings_mcleod)
+                        from_solution, solve_ground_state, solve_hastings_mcleod)
 from tfpainleve import cli, groundstate
 from tfpainleve.cli import ConfigError, _DEFAULTS, load_config, main, validate_config
 from tfpainleve.groundstate import default_grid, ground_state_ladder
+from tfpainleve.spectrum import check_d1
 
 
 def read_summary(path):
@@ -36,12 +36,9 @@ def test_load_config_defaults():
     [
         ("n_nodes", solve_hastings_mcleod, "n_nodes"),
         ("gs_tol", solve_ground_state, "tol"),
-        ("gs_tol", scaling_study, "gs_tol"),
         ("nodes_per_layer", solve_ground_state, "nodes_per_layer"),
-        ("nodes_per_layer", scaling_study, "nodes_per_layer"),
         ("nodes_per_layer", default_grid, "nodes_per_layer"),
         ("order", build_corrections, "order"),
-        ("n_pairs", scaling_study, "n_pairs"),
     ],
 )
 def test_cli_default_is_the_library_default(key, function, parameter):
@@ -101,6 +98,14 @@ def test_load_config_errors(tmp_path):
         load_config(str(repeated))
 
 
+def test_config_file_with_a_utf8_byte_order_mark_loads(tmp_path):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(b"n_pairs = 2\neps = 0.1, 0.05\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_config(str(marked)) == load_config(str(plain))
+    assert load_config(str(marked))["n_pairs"] == 2
+
+
 def test_config_file_that_is_not_utf8_is_exit_1(tmp_path, capsys):
     cfg = tmp_path / "latin1.cfg"
     cfg.write_bytes(b"eps = 0.1\n# caf\xff\n")
@@ -157,7 +162,7 @@ def test_validate_config_rejects(key, value, fragment):
     ("key", "value", "solve"),
     [
         ("dimension", 5, lambda sol, cset: build_corrections(sol, 5)),
-        ("dimension", 3, lambda sol, cset: scaling_study(build_corrections(sol, 3), (0.1,), [])),
+        ("dimension", 3, lambda sol, cset: check_d1(3)),
         ("eps", (), lambda sol, cset: ground_state_ladder(cset, ())),
         ("eps", (0.9,), lambda sol, cset: solve_ground_state(0.9, cset)),
         ("eps", (0.1, 0.1), lambda sol, cset: ground_state_ladder(cset, (0.1, 0.1))),
@@ -423,12 +428,14 @@ def test_every_command_solves_the_profile_once(command, tmp_path, monkeypatch):
     assert (tmp_path / "out" / "summary.txt").is_file()
 
 
-def test_main_stage_failure_is_exit_2(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("bs_levels = 75\n")  # action bracket leaves the certified range
-    rc = main(["bs", "--config", str(cfg), "--out", str(tmp_path / "out")])
+def test_main_stage_failure_is_exit_2(tmp_path, capsys, monkeypatch):
+    def fail(W, levels):
+        raise ConvergenceError("Bohr-Sommerfeld solve left 1 of 8 open")
+
+    monkeypatch.setattr(cli, "bs_eigenvalue", fail)
+    rc = main(["bs", "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "stage bs failed" in capsys.readouterr().err
+    assert capsys.readouterr().err == "stage bs failed: Bohr-Sommerfeld solve left 1 of 8 open\n"
 
 
 def test_main_bs_tabulates_every_level_under_the_certified_range(tmp_path, capsys):
@@ -439,8 +446,23 @@ def test_main_bs_tabulates_every_level_under_the_certified_range(tmp_path, capsy
     rows = (tmp_path / "out" / "bs.csv").read_text().splitlines()[1:]
     assert [float(row.split(",")[0]) for row in rows] == [1.0, 12.0, 13.0, 14.0]
     cfg.write_text("bs_levels = 15\n")
-    assert main(["bs", "--config", str(cfg), "--out", str(tmp_path / "out15")]) == 2
-    assert "bracket failure: level 15 " in capsys.readouterr().err
+    assert main(["bs", "--config", str(cfg), "--out", str(tmp_path / "out15")]) == 1
+    assert "at most 14" in capsys.readouterr().err
+    assert not (tmp_path / "out15").exists()
+
+
+def test_study_level_above_the_window_cap_is_exit_1_before_anything_is_written(
+        tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bs_levels = 1, 15\neps = 0.1, 0.05\n")
+    assert main(["study", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: bs_levels entries must be at most 14, the last level under "
+        "W0's certified range on the layer window, got 15\n")
+    assert not (tmp_path / "out").exists()
+    # the other commands solve M0 for 15 eigenvalues and tabulate no Bohr-Sommerfeld level
+    for other in ("painleve", "groundstate", "spectrum"):
+        validate_config(load_config(str(cfg)), other)
 
 
 def test_main_study_write_failure_is_stage_output(tmp_path, capsys):

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from tfpainleve import ConvergenceError, groundstate, painleve
 from tfpainleve.corrections import loglog_slope
 from tfpainleve.grids import (TridiagonalOperator, first_difference, second_difference,
                               solve_tridiagonal, uniform_grid)
-from tfpainleve.painleve import bn_coefficients, tail_minus, tail_plus
+from tfpainleve.painleve import LAYER_WINDOW, bn_coefficients, tail_minus, tail_plus
 from tfpainleve.semiclassics import from_function
 from tfpainleve.spectrum import eig_smallest
 
@@ -57,3 +58,46 @@ def test_named_error(call, kind, match):
     else:
         with pytest.raises(kind, match=match):
             call()
+
+
+def _set(x, index, value):
+    x = x.copy()
+    x[index] = value
+    return x
+
+
+def _dip(x):
+    # nu^2 - y of the initial guess is positive and falls to the negative right end
+    # value; a 5 % dip at y = 10 keeps nu increasing and adds two sign changes
+    y = np.linspace(*LAYER_WINDOW, x.size + 2)[1:-1]
+    return x * (1.0 - 0.05 * np.exp(-((y - 10.0) ** 2)))
+
+
+# (module whose solve checks the iterate damped_newton hands back, that iterate
+# crafted from the initial guess, message pattern)
+NEWTON_CASES = [
+    pytest.param(painleve, lambda x: _set(x, 5, -1.0),
+                 "converged iterate is not strictly positive", id="painleve-not-positive"),
+    pytest.param(painleve, lambda x: _set(x, 1000, x[998]),
+                 "converged iterate is not strictly increasing", id="painleve-not-increasing"),
+    pytest.param(painleve, _dip,
+                 "curvature changes sign 3 times, expected exactly 1", id="painleve-curvature"),
+    pytest.param(groundstate, lambda x: _set(x, x.size // 2, -1e-6),
+                 "ground state lost positivity beyond rounding slack",
+                 id="groundstate-positivity"),
+    pytest.param(groundstate, lambda x: np.full_like(x, 2.0),
+                 "ground state exceeds the bulk bound: max 2.000000", id="groundstate-bulk-bound"),
+]
+
+
+@pytest.mark.parametrize(("module", "craft", "match"), NEWTON_CASES)
+def test_named_error_of_the_converged_iterate(module, craft, match, cset1, monkeypatch):
+    def newton(residual, jacobian, x0, *args, **kwargs):
+        return craft(x0), 0.0, 1
+
+    monkeypatch.setattr(module, "damped_newton", newton)
+    with pytest.raises(ConvergenceError, match=match):
+        if module is painleve:
+            painleve.solve_hastings_mcleod(2000)
+        else:
+            groundstate.solve_ground_state(0.1, cset1, nodes_per_layer=20)

@@ -18,6 +18,7 @@ from tfpainleve import (
     solve_hastings_mcleod,
     uniform_grid,
 )
+from tfpainleve.groundstate import ground_state_ladder
 
 
 def _operator():
@@ -31,8 +32,8 @@ _BUILDERS = {
     "CorrectionSet": lambda cset: build_corrections(cset.profile, 1, order=1),
     "GroundState": lambda cset: solve_ground_state(0.1, cset, nodes_per_layer=20),
     "RemainderTable": lambda cset: remainder_study(cset, (0.1, 0.05)),
-    "ScalingTable": lambda cset: scaling_study(cset, (0.1,), (2.41,), n_pairs=1,
-                                               nodes_per_layer=20),
+    "ScalingTable": lambda cset: scaling_study(
+        ground_state_ladder(cset, (0.1,), nodes_per_layer=20), (2.41,), 1),
     "SpectrumReport": lambda cset: eig_smallest(_operator(), 1),
     "PotentialProfile": lambda cset: from_solution(cset.profile),
 }

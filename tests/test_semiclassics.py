@@ -14,6 +14,7 @@ from tfpainleve import (
     bs_eigenvalue,
     from_function,
     from_solution,
+    solve_hastings_mcleod,
 )
 from tfpainleve import semiclassics
 from tfpainleve.semiclassics import _branch_positions
@@ -145,6 +146,22 @@ def test_bs_levels_fill_the_certified_range(sol):
     assert np.max(np.abs(residual)) <= 1e-9
     with pytest.raises(ConvergenceError, match=r"bracket failure: level 15 "):
         bs_eigenvalue(profile, [1, 15])
+
+
+@pytest.mark.parametrize("n_nodes", [2000, 6001, 120001])
+def test_layer_max_level_is_the_last_level_under_the_window_top(n_nodes):
+    # the action at the top W0(-20) = 20 is 89.4715 on every grid, between the
+    # targets pi (2n - 1) of levels 14 and 15
+    profile = from_solution(solve_hastings_mcleod(n_nodes))
+    top = min(profile.ws[0], profile.ws[-1])
+    assert top == pytest.approx(20.0, abs=1e-12)
+    reach = action(profile, top)
+    assert reach == pytest.approx(89.4715, abs=1e-4)
+    cap = semiclassics.LAYER_MAX_LEVEL
+    assert math.pi * (2 * cap - 1) < reach < math.pi * (2 * cap + 1)
+    semiclassics.check_layer_levels([1, cap])
+    with pytest.raises(ValueError, match=f"at most {cap}, .* got {cap + 1}"):
+        semiclassics.check_layer_levels([1, cap + 1])
 
 
 def test_bs_eigenvalue_matches_bisection_to_rounding(sol):

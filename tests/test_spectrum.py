@@ -19,9 +19,10 @@ from tfpainleve import (
     from_solution,
     uniform_grid,
 )
-from tfpainleve import cli
+from tfpainleve import cli, groundstate
 from tfpainleve.grids import TridiagonalOperator
-from tfpainleve.groundstate import trap_operator
+from tfpainleve.groundstate import ground_state_ladder, trap_operator
+from tfpainleve.spectrum import check_d1
 
 M0_FIRST_EIGHT = [2.410531, 4.508181, 6.273440, 7.840016,
                   9.270016, 10.599079, 11.849943, 13.038005]
@@ -279,9 +280,8 @@ def test_decay_check_validation(m0_report, sol):
 
 
 def test_scaling_table_layout(cset1, m0_report):
-    table = scaling_study(
-        cset1, (0.1, 0.05), m0_report.eigenvalues, n_pairs=2, nodes_per_layer=24
-    )
+    table = scaling_study(ground_state_ladder(cset1, (0.1, 0.05), nodes_per_layer=24),
+                          m0_report.eigenvalues, 2)
     np.testing.assert_allclose(table.eps, [0.1, 0.1, 0.05, 0.05])
     np.testing.assert_allclose(table.n, [1.0, 2.0, 1.0, 2.0])
     np.testing.assert_allclose(table.scaled_odd, table.lambda_odd / table.eps ** (2.0 / 3.0))
@@ -294,20 +294,40 @@ def test_scaling_table_layout(cset1, m0_report):
 
 
 def test_scaling_table_csv(cset1, m0_report, tmp_path):
-    table = scaling_study(cset1, (0.1,), m0_report.eigenvalues, n_pairs=1, nodes_per_layer=24)
+    table = scaling_study(ground_state_ladder(cset1, (0.1,), nodes_per_layer=24),
+                          m0_report.eigenvalues, 1)
     path = tmp_path / "scaling.csv"
     table.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "eps,n,lambda_odd,lambda_even,scaled_odd,scaled_even,mu_n,pair_gap"
 
 
-def test_scaling_study_validation(cset1, cset2, m0_report):
-    mu = m0_report.eigenvalues
-    with pytest.raises(ValueError, match="d=1"):
-        scaling_study(cset2, (0.1,), mu)
-    with pytest.raises(ValueError, match="empty"):
-        scaling_study(cset1, (), mu)
-    with pytest.raises(ValueError, match="distinct"):
-        scaling_study(cset1, (0.1, 0.05, 0.1), mu)
+def test_scaling_study_validation(gs1_eps01):
     with pytest.raises(ValueError, match="n_pairs"):
-        scaling_study(cset1, (0.1,), [2.41], n_pairs=2)
+        scaling_study([gs1_eps01], [2.41], 2)
+
+
+def test_scaling_study_tabulates_given_states_without_solving(gs1_eps01, m0_report, monkeypatch):
+    calls = []
+    # patched where the package binds it, and in spectrum should it ever bind it too
+    for module in (groundstate, spectrum_module):
+        monkeypatch.setattr(module, "solve_ground_state", lambda *a, **k: calls.append(a),
+                            raising=False)
+    table = scaling_study([gs1_eps01, gs1_eps01], m0_report.eigenvalues, 1)
+    assert calls == []
+    np.testing.assert_array_equal(table.eps, [0.1, 0.1])
+    assert table.lambda_odd[0] == table.lambda_odd[1]
+
+
+def test_scaling_study_rejects_no_states(m0_report):
+    with pytest.raises(ValueError, match="^scaling_study needs at least one ground state$"):
+        scaling_study([], m0_report.eigenvalues, 1)
+
+
+def test_scaling_study_rejects_a_d2_state_by_the_d1_rule(cset2, m0_report):
+    with pytest.raises(ValueError) as rule:
+        check_d1(2)
+    gs2 = solve_ground_state(0.1, cset2, nodes_per_layer=20)
+    with pytest.raises(ValueError) as raised:
+        scaling_study([gs2], m0_report.eigenvalues, 1)
+    assert str(raised.value) == str(rule.value)
