@@ -5,7 +5,7 @@ a key=value text file (--config); results land in --out as CSV files with
 fixed column schemas, --plots adds minimal SVG line plots, and summary.txt,
 written last, marks a finished run.  Studies run one eps at a time in one
 thread, so output is byte-identical for a given config.  Exit codes: 0
-success, 1 bad configuration, 2 first failing stage (named on stderr).
+success, 1 bad usage or configuration, 2 first failing stage (named on stderr).
 """
 
 from __future__ import annotations
@@ -27,7 +27,15 @@ from .spectrum import check_d1, eig_smallest, scaling_study
 
 
 class ConfigError(ValueError):
-    """Invalid configuration: unknown key, bad value, or failed precondition."""
+    """Invalid configuration: bad usage, unknown key, bad value, or failed precondition."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error prints the usage line and raises ConfigError; subparsers inherit this."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
 
 
 _DEFAULTS = {
@@ -119,7 +127,6 @@ def _svg_plot(path, title, series, log=False):
     """Minimal SVG polyline plot: axes box, series, text legend; ``log`` puts both axes on log10."""
     width, height = 640, 480
     ml, mr, mt, mb = 60, 20, 40, 40
-    xs_all, ys_all = [], []
     clean = []
     for name, xs, ys in series:
         xs = np.asarray(xs, dtype=float)
@@ -128,12 +135,8 @@ def _svg_plot(path, title, series, log=False):
         if log:
             keep &= (xs > 0.0) & (ys > 0.0)
         xs, ys = xs[keep], ys[keep]
-        if xs.size == 0:
-            continue
-        px, py = (np.log10(xs), np.log10(ys)) if log else (xs, ys)
-        clean.append((name, px, py))
-        xs_all.append(px)
-        ys_all.append(py)
+        if xs.size:
+            clean.append((name, *((np.log10(xs), np.log10(ys)) if log else (xs, ys))))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
@@ -143,25 +146,17 @@ def _svg_plot(path, title, series, log=False):
         'fill="none" stroke="black"/>',
     ]
     if clean:
-        x0 = min(float(p.min()) for p in xs_all)
-        x1 = max(float(p.max()) for p in xs_all)
-        y0 = min(float(p.min()) for p in ys_all)
-        y1 = max(float(p.max()) for p in ys_all)
-        if x1 == x0:
-            x0, x1 = x0 - 0.5, x1 + 0.5
-        if y1 == y0:
-            y0, y1 = y0 - 0.5, y1 + 0.5
-        pad_x, pad_y = 0.03 * (x1 - x0), 0.05 * (y1 - y0)
-        x0, x1 = x0 - pad_x, x1 + pad_x
-        y0, y1 = y0 - pad_y, y1 + pad_y
-
-        def to_px(px, py):
-            sx = ml + (px - x0) / (x1 - x0) * (width - ml - mr)
-            sy = height - mb - (py - y0) / (y1 - y0) * (height - mt - mb)
-            return sx, sy
-
-        for i, (name, px, py) in enumerate(clean):
-            sx, sy = to_px(px, py)
+        # one rule per axis: data range, widened if one point, padded, mapped onto pixels (y downward)
+        ends, pixels = [], []
+        for k, pad, lo, hi in ((1, 0.03, ml, width - mr), (2, 0.05, height - mb, mt)):
+            v0 = min(float(c[k].min()) for c in clean)
+            v1 = max(float(c[k].max()) for c in clean)
+            if v1 == v0:
+                v0, v1 = v0 - 0.5, v1 + 0.5
+            v0, v1 = v0 - pad * (v1 - v0), v1 + pad * (v1 - v0)
+            ends += [v0, v1]
+            pixels.append([lo + (c[k] - v0) / (v1 - v0) * (hi - lo) for c in clean])
+        for i, ((name, _, _), sx, sy) in enumerate(zip(clean, *pixels)):
             pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(sx, sy))
             color = _COLORS[i % len(_COLORS)]
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
@@ -169,16 +164,12 @@ def _svg_plot(path, title, series, log=False):
                 f'<text x="{width - mr - 10}" y="{mt + 18 + 16 * i}" text-anchor="end" '
                 f'font-size="12" fill="{color}">{name}</text>'
             )
-        for val, sx in ((x0, ml), (x1, width - mr)):
+        x0, x1, y0, y1 = ends
+        for val, tx, ty, anchor in ((x0, ml, height - mb + 18, "middle"),
+                                    (x1, width - mr, height - mb + 18, "middle"),
+                                    (y0, ml - 6, height - mb + 4, "end"), (y1, ml - 6, mt + 4, "end")):
             label = f"{10.0 ** val:.3g}" if log else f"{val:.3g}"
-            parts.append(
-                f'<text x="{sx}" y="{height - mb + 18}" text-anchor="middle" font-size="12">{label}</text>'
-            )
-        for val, sy in ((y0, height - mb), (y1, mt)):
-            label = f"{10.0 ** val:.3g}" if log else f"{val:.3g}"
-            parts.append(
-                f'<text x="{ml - 6}" y="{sy + 4}" text-anchor="end" font-size="12">{label}</text>'
-            )
+            parts.append(f'<text x="{tx}" y="{ty}" text-anchor="{anchor}" font-size="12">{label}</text>')
     parts.append("</svg>")
     write_lines(path, parts)
 
@@ -359,7 +350,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tfp",
         description="Boundary-layer studies of the trapped ground state: "
         "connection profile, composite expansion, spectra, Bohr-Sommerfeld.",
@@ -370,9 +361,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", default=None, help="key=value configuration file")
         p.add_argument("--out", default="tfp_out", help="output directory")
         p.add_argument("--plots", action="store_true", help="also write SVG plots")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         cfg = load_config(args.config)
         validate_config(cfg, args.command)
     except ConfigError as exc:

@@ -33,7 +33,6 @@ class GroundState:
     grid: Grid1D
     eta: np.ndarray
     residual_max: float
-    tol: float
     newton_iterations: int
     composite: np.ndarray  # the composite approximation on the nodes, the Newton seed
 
@@ -149,7 +148,6 @@ def solve_ground_state(
         grid=grid,
         eta=eta,
         residual_max=rnorm,
-        tol=tol,
         newton_iterations=iterations,
         composite=composite,
     )

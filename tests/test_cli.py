@@ -2,6 +2,7 @@ import importlib
 import inspect
 import math
 import re
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,71 @@ def test_groundstate_plots_leave_the_data_files_alone(tmp_path):
     assert sorted(p.name for p in plotted.iterdir()) == sorted([*names, "groundstate.svg"])
     for name in names:
         assert (plotted / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(("argv", "fragment"), [
+    ([], "required: command"),
+    (["study", "--bogus"], "unrecognized arguments: --bogus"),
+    (["nosuch"], "invalid choice"),
+    (["study", "--config"], "--config: expected one argument"),
+])
+def test_usage_error_is_exit_1(argv, fragment, tmp_path, capsys, monkeypatch):
+    # a usage error is a configuration error: exit 1, never argparse's SystemExit(2)
+    messages = []
+    error = cli._Parser.error
+
+    def spy(self, message):
+        messages.append(message)
+        error(self, message)
+
+    monkeypatch.setattr(cli._Parser, "error", spy)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tfp")
+    assert len(messages) == 1 and fragment in messages[0]
+    assert err.endswith(f"configuration error: {messages[0]}\n")
+    assert not (tmp_path / "tfp_out").exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tfp study")
+
+
+_SVG = "{http://www.w3.org/2000/svg}"
+
+
+def _svg_ticks_and_lines(path):
+    """The four tick labels (x0, x1, y0, y1) and each polyline's points as (x, y) pairs."""
+    root = ET.parse(path).getroot()
+    ticks = [t.text for t in root.findall(f"{_SVG}text")[-4:]]
+    lines = [[tuple(map(float, p.split(","))) for p in line.get("points").split()]
+             for line in root.findall(f"{_SVG}polyline")]
+    return ticks, lines
+
+
+def test_one_eps_spectrum_plot_widens_its_x_axis(tmp_path):
+    # every series shares the one eps, so the x range is one point, widened by 0.5
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.1\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out), "--plots"]) == 0
+    ticks, lines = _svg_ticks_and_lines(out / "spectrum.svg")
+    assert ticks[:2] == ["-0.43", "0.63"]
+    assert len(lines) == 6 and all(x == 340.0 for line in lines for x, _ in line)
+
+
+def test_svg_plot_widens_a_constant_y_axis_and_drops_an_empty_series(tmp_path):
+    path = tmp_path / "flat.svg"
+    cli._svg_plot(path, "flat", [("flat", [1.0, 2.0, 3.0], [2.0, 2.0, 2.0]),
+                                 ("void", [np.nan, 1.0], [1.0, np.inf])])
+    ticks, lines = _svg_ticks_and_lines(path)
+    # y: 2 +- 0.5, padded by 5 %; x: 1 to 3, padded by 3 %
+    assert ticks == ["0.94", "3.06", "1.45", "2.55"]
+    assert lines == [[(75.85, 240.0), (340.0, 240.0), (604.15, 240.0)]]
 
 
 def test_console_script_is_cli_main(tmp_path):

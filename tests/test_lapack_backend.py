@@ -123,6 +123,19 @@ def test_lapack_info_becomes_named_error(monkeypatch, routine, info, error):
         eig_smallest(op, 3)
 
 
+def test_illegal_dgtsv_argument_is_value_error(monkeypatch):
+    exact = grids_module.lapack.dgtsv
+
+    def failing(*args):
+        *out, _ = exact(*args)
+        return (*out, -2)
+
+    monkeypatch.setattr(grids_module.lapack, "dgtsv", failing)
+    op = TridiagonalOperator(-np.ones(19), np.full(20, 2.0), -np.ones(19))
+    with pytest.raises(ValueError, match="^illegal dgtsv argument 2$"):
+        solve_tridiagonal(op, np.ones(20))
+
+
 def test_short_dstebz_report_is_convergence_error(monkeypatch):
     lapack = spectrum_module.lapack
     exact = lapack.dstebz
