@@ -314,7 +314,9 @@ def cmd_study(cfg, sol, out, plots, stages) -> list:
     order = cfg["order"]
     cset = stages.run("corrections", lambda: build_corrections(sol, d, order=order))
     cset.to_csv(os.path.join(out, "corrections.csv"))
-    remainder = stages.run("remainder", lambda: remainder_study(cset, cfg["eps"]))
+    # not the config's gs_tol and nodes_per_layer: err must measure the composite, not the solver
+    remainder = stages.run("remainder", lambda: remainder_study(
+        ground_state_ladder(cset, cfg["eps"], tol=1e-10, nodes_per_layer=80)))
     remainder.to_csv(os.path.join(out, "remainder.csv"))
     cset1 = cset if d == 1 else stages.run(
         "corrections", lambda: build_corrections(sol, 1, order=order)

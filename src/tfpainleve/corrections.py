@@ -90,7 +90,8 @@ def loglog_slope(x: np.ndarray, v: np.ndarray) -> float:
     lx = np.log(x)
     lv = np.log(v)
     lx = lx - lx.mean()
-    # np.sum, not @: threaded BLAS ddot costs milliseconds on long windows
+    # np.sum, not @: ddot rounds differently (nu_1's tail slope moves in its last bit),
+    # and np.sum keeps every written slope and fit order byte-stable
     return float(np.sum(lx * (lv - lv.mean())) / np.sum(lx * lx))
 
 

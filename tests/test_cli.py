@@ -579,6 +579,21 @@ def test_main_bs_and_spectrum_match_study(study_small, tmp_path):
         assert (out / name).read_text().startswith("<svg"), name
 
 
+def test_remainder_stage_ignores_gs_tol_and_nodes_per_layer(tmp_path):
+    # the remainder stage solves its own ladder (1e-10, 80 nodes per layer); scaling reads both keys
+    outs = {}
+    for name, keys in (("default", ""), ("coarse", "nodes_per_layer = 24\ngs_tol = 1e-6\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("eps = 0.1, 0.05\nn_nodes = 3001\n" + keys)
+        outs[name] = tmp_path / name
+        assert main(["study", "--config", str(cfg), "--out", str(outs[name])]) == 0
+    default, coarse = outs["default"], outs["coarse"]
+    assert (coarse / "remainder.csv").read_bytes() == (default / "remainder.csv").read_bytes()
+    fit = [read_summary(out / "summary.txt")["remainder_fit_order"] for out in (default, coarse)]
+    assert fit[0] == fit[1]
+    assert (coarse / "scaling.csv").read_bytes() != (default / "scaling.csv").read_bytes()
+
+
 def test_spectrum_and_study_write_the_same_mu_bytes(tmp_path):
     # mu_1's last bits depend on how many M0 eigenvalues are solved for, so
     # spectrum (n_pairs = 1) and study (top level 4) must ask for the same number

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -20,7 +22,7 @@ from oracles import thomas_fermi
 from tfpainleve import cli, groundstate
 from tfpainleve.cli import main
 from tfpainleve.corrections import composite_nu
-from tfpainleve.groundstate import ground_state_ladder
+from tfpainleve.groundstate import check_remainder_eps, ground_state_ladder
 
 
 def test_thomas_fermi_energy_matches_symbolic_quadrature():
@@ -221,9 +223,14 @@ def test_solve_rejects_a_tolerance_that_is_not_positive_and_finite(cset1, tol, f
         solve_ground_state(0.1, cset1, tol=tol)
 
 
+def _remainder_ladder(cset, eps_list):
+    # the ladder tfp study's remainder stage draws: solved well past the composite's error
+    return ground_state_ladder(cset, eps_list, tol=1e-10, nodes_per_layer=80)
+
+
 def test_remainder_table_fields(cset1):
-    table = remainder_study(cset1, (0.1, 0.05))
-    assert table.dimension == 1 and table.order == 2
+    table = remainder_study(_remainder_ladder(cset1, (0.1, 0.05)))
+    assert [f.name for f in fields(table)] == ["eps", "err", "pair_order", "fit_order"]
     np.testing.assert_allclose(table.eps, [0.1, 0.05])
     assert np.isnan(table.pair_order[0])
     assert table.pair_order[1] == pytest.approx(table.fit_order, abs=1e-9)
@@ -232,10 +239,28 @@ def test_remainder_table_fields(cset1):
 
 
 def test_remainder_study_needs_two_eps(cset1):
-    with pytest.raises(ValueError):
-        remainder_study(cset1, (0.1,))
+    with pytest.raises(ValueError, match="^remainder study needs at least two eps values$"):
+        remainder_study([])
+    # a repeated eps is the ladder's rule, raised before anything is solved
     with pytest.raises(ValueError, match="distinct"):
-        remainder_study(cset1, (0.1, 0.1))
+        remainder_study(_remainder_ladder(cset1, (0.1, 0.1)))
+
+
+def test_remainder_study_tabulates_given_states_without_solving(gs1_eps01, cset1, monkeypatch):
+    gs_02 = solve_ground_state(0.2, cset1, nodes_per_layer=20)
+    calls = []
+    monkeypatch.setattr(groundstate, "solve_ground_state", lambda *a, **k: calls.append(a))
+    # ascending, against the ladder's order: the table keeps the order given
+    table = remainder_study([gs1_eps01, gs_02])
+    assert calls == []
+    np.testing.assert_array_equal(table.eps, [0.1, 0.2])
+    np.testing.assert_array_equal(
+        table.err, [np.abs(gs.eta - gs.composite).max() for gs in (gs1_eps01, gs_02)])
+    with pytest.raises(ValueError) as rule:
+        check_remainder_eps([0.1])
+    with pytest.raises(ValueError) as raised:
+        remainder_study([gs1_eps01])
+    assert str(raised.value) == str(rule.value)
 
 
 def test_ground_state_csv(gs1_eps01, cset1, tmp_path):
@@ -270,7 +295,7 @@ def test_each_ground_state_evaluates_the_composite_once(cset1, tmp_path, monkeyp
     monkeypatch.setattr(groundstate, "composite_eta", counted)
     # a copy bound in the CLI module would evaluate the composite a second time
     monkeypatch.setattr(cli, "composite_eta", counted, raising=False)
-    remainder_study(cset1, (0.1, 0.05))
+    remainder_study(_remainder_ladder(cset1, (0.1, 0.05)))
     assert calls == [0.1, 0.05]
     calls.clear()
     cfg = tmp_path / "run.cfg"

@@ -31,7 +31,8 @@ _BUILDERS = {
     "PainleveSolution": lambda cset: solve_hastings_mcleod(n_nodes=2001),
     "CorrectionSet": lambda cset: build_corrections(cset.profile, 1, order=1),
     "GroundState": lambda cset: solve_ground_state(0.1, cset, nodes_per_layer=20),
-    "RemainderTable": lambda cset: remainder_study(cset, (0.1, 0.05)),
+    "RemainderTable": lambda cset: remainder_study(
+        ground_state_ladder(cset, (0.1, 0.05), tol=1e-10, nodes_per_layer=80)),
     "ScalingTable": lambda cset: scaling_study(
         ground_state_ladder(cset, (0.1,), nodes_per_layer=20), (2.41,), 1),
     "SpectrumReport": lambda cset: eig_smallest(_operator(), 1),
