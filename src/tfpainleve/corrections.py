@@ -19,7 +19,7 @@ import numpy as np
 from ._io import write_csv
 from .grids import (UniformSpline, check_eps, first_difference, record, second_difference,
                     solve_tridiagonal)
-from .painleve import LAYER_WINDOW, PainleveSolution, assemble_M0
+from .painleve import LAYER_WINDOW, PainleveSolution, assemble_M0, tail_minus
 
 # far-field exponent of nu_n y^(beta - 2n): beta = -5/2 in d = 1 where the
 # leading forcing cancels, beta = 1/2 otherwise
@@ -170,12 +170,27 @@ def build_corrections(sol: PainleveSolution, dimension: int, order: int = 2) -> 
 def composite_nu(cset: CorrectionSet, eps: float, y):
     """Truncated layer expansion sum_{n=0}^{N} eps^(2n/3) nu_n at the given y.
 
-    Evaluation is by cubic interpolation of the stored samples; y must lie
-    inside the profile grid.
+    Inside the profile grid: cubic interpolation of the stored samples; left of
+    it: ``tail_minus``, the decaying tail of nu_0; right of it, and NaN: a
+    ValueError.  Scalars in give floats out.
     """
     check_eps(eps)
-    cset.profile._require_inside(y)
-    total, *terms = cset._spline(y)
-    for n, term in enumerate(terms, start=1):
-        total = total + eps ** (2.0 * n / 3.0) * term
-    return total
+    scalar = np.ndim(y) == 0
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    grid = cset.profile.grid
+    if not np.all(y <= grid.b):  # NaN fails this too
+        raise ValueError(
+            f"layer coordinate reaches y = {y.max():.2f} beyond the profile grid end "
+            f"y = {grid.b:g}, which reaches the trap centre only for "
+            f"eps >= {grid.b ** -1.5:.4g}"
+        )
+    out = np.empty_like(y)
+    inside = y >= grid.a
+    if np.any(inside):
+        total, *terms = cset._spline(y[inside])
+        for n, term in enumerate(terms, start=1):
+            total = total + eps ** (2.0 * n / 3.0) * term
+        out[inside] = total
+    if not np.all(inside):
+        out[~inside] = tail_minus(y[~inside])
+    return float(out[0]) if scalar else out

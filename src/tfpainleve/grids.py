@@ -160,7 +160,11 @@ class TridiagonalOperator:
 
 
 def _gtsv(sub, diag, sup, rhs, overwrite):
-    """LAPACK dgtsv on the bands and right-hand side; ``overwrite`` lets it solve in place."""
+    """LAPACK dgtsv on the bands and right-hand side; ``overwrite`` lets it solve in place.
+
+    With ``overwrite`` set, f2py writes through read-only arrays too, so pass
+    only arrays the caller owns.
+    """
     _, _, _, x, info = lapack.dgtsv(sub, diag, sup, rhs, overwrite, overwrite, overwrite, overwrite)
     if info > 0:
         raise SingularPivotError(info - 1)

@@ -18,7 +18,7 @@ from ._io import write_csv
 from .corrections import CorrectionSet, check_dimension, composite_nu, loglog_slope
 from .grids import (Grid1D, TridiagonalOperator, check_eps, first_difference, record,
                     to_boundary_layer, uniform_grid)
-from .painleve import LAYER_WINDOW, ConvergenceError, damped_newton, tail_minus
+from .painleve import LAYER_WINDOW, ConvergenceError, damped_newton
 
 _MAX_ITERATIONS = 60
 _NEGATIVE_SLACK = 1e-12
@@ -196,31 +196,12 @@ def energy(gs: GroundState) -> float:
     return energy_of(gs.eps, gs.dimension, gs.grid, gs.eta)
 
 
-def composite_eta(cset: CorrectionSet, eps: float, x) -> np.ndarray:
+def composite_eta(cset: CorrectionSet, eps: float, x):
     """Composite approximation eps^(1/3) sum eps^(2n/3) nu_n((1 - x^2) / eps^(2/3)).
 
-    Points mapping left of the profile grid continue with the decaying tail of
-    the leading profile; points mapping right of it (possible only for very
-    small eps) are an error.
+    ``composite_nu`` at the layer coordinate of x, scaled; it owns the domain.
     """
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = to_boundary_layer(x, eps)
-    sol = cset.profile
-    if not np.all(y <= sol.grid.b):  # NaN fails this too
-        raise ValueError(
-            f"layer coordinate reaches y = {y.max():.2f} beyond the profile grid end "
-            f"y = {sol.grid.b:g}, which reaches the trap centre only for "
-            f"eps >= {sol.grid.b ** -1.5:.4g}"
-        )
-    out = np.empty_like(y)
-    inside = y >= sol.grid.a
-    if np.any(inside):
-        out[inside] = composite_nu(cset, eps, y[inside])
-    if np.any(~inside):
-        out[~inside] = tail_minus(y[~inside])
-    out *= eps ** (1.0 / 3.0)
-    return float(out[0]) if scalar else out
+    return eps ** (1.0 / 3.0) * composite_nu(cset, eps, to_boundary_layer(x, eps))
 
 
 @record
@@ -237,9 +218,11 @@ class RemainderTable:
 
 
 def check_remainder_eps(eps_list) -> None:
-    """ValueError unless ``eps_list`` has the two or more values an empirical order needs."""
+    """ValueError unless ``eps_list`` has the two or more distinct eps an empirical order needs."""
     if len(eps_list) < 2:
         raise ValueError("remainder study needs at least two eps values")
+    if len(set(eps_list)) < len(eps_list):
+        raise ValueError(f"remainder study needs distinct eps values, got {tuple(eps_list)}")
 
 
 def remainder_study(states) -> RemainderTable:
@@ -251,7 +234,7 @@ def remainder_study(states) -> RemainderTable:
     past it, so the caller states their tolerance and grid.
     """
     ladder = [(gs.eps, float(np.abs(gs.eta - gs.composite).max())) for gs in states]
-    check_remainder_eps(ladder)
+    check_remainder_eps([eps for eps, _ in ladder])
     eps_arr, errs = (np.asarray(col, dtype=float) for col in zip(*ladder))
     pair = np.full(eps_arr.size, np.nan)
     pair[1:] = np.log(errs[:-1] / errs[1:]) / np.log(eps_arr[:-1] / eps_arr[1:])

@@ -176,16 +176,12 @@ class PainleveSolution:
         return UniformSpline(self.grid, self.nu0)
 
     def interp_nu0(self, y):
-        self._require_inside(y)
-        return self._nu0_spline(y)
-
-    def _require_inside(self, y):
         y = np.asarray(y)
-        # an inside test, so that NaN fails it too
-        if not np.all((y >= self.grid.a) & (y <= self.grid.b)):
+        if not np.all((y >= self.grid.a) & (y <= self.grid.b)):  # an inside test: NaN fails it
             raise ValueError(
                 f"requested y outside the solution grid [{self.grid.a}, {self.grid.b}]"
             )
+        return self._nu0_spline(y)
 
     def to_csv(self, path) -> None:
         write_csv(path, ["y", "nu0", "dnu0", "W0"],

@@ -14,6 +14,7 @@ from tfpainleve import (
     first_difference,
     second_difference,
     solve_hastings_mcleod,
+    tail_minus,
 )
 from tfpainleve import painleve
 from tfpainleve.corrections import (TAIL_EXPONENTS, TAIL_FIT_WINDOW, interaction_triples,
@@ -253,6 +254,26 @@ def test_composite_nu_validation(sol, cset1):
         composite_nu(cset1, 0.0, 0.0)
     with pytest.raises(ValueError):
         composite_nu(cset1, 0.1, sol.grid.b + 1.0)
+
+
+def test_composite_nu_continues_left_of_the_grid_with_the_airy_tail(sol, cset1):
+    a = sol.grid.a
+    # the grid's left end is the tail's Dirichlet value, and every correction is 0 there
+    assert sol.nu0[0] == tail_minus(a)
+    assert composite_nu(cset1, 0.1, a) == sol.nu0[0]
+    left = np.array([np.nextafter(a, -np.inf), -30.0])
+    np.testing.assert_array_equal(composite_nu(cset1, 0.1, left), tail_minus(left))
+    for y in left:
+        value = composite_nu(cset1, 0.1, float(y))
+        assert type(value) is float and value == tail_minus(y)
+
+
+@pytest.mark.parametrize("where", ["right", "nan", "mixed"])
+def test_composite_nu_rejects_points_beyond_the_grid_end(sol, cset1, where):
+    y = {"right": np.nextafter(sol.grid.b, np.inf), "nan": np.nan,
+         "mixed": np.array([-30.0, 0.0, sol.grid.b + 1.0])}[where]
+    with pytest.raises(ValueError, match="beyond the profile grid end y = 40"):
+        composite_nu(cset1, 0.1, y)
 
 
 def test_corrections_to_csv(cset2, tmp_path):

@@ -128,6 +128,20 @@ def test_composite_eta_pieces(sol, cset1):
     assert beyond == pytest.approx(eps ** (1.0 / 3.0) * tail_minus(to_boundary_layer(2.42, eps)))
 
 
+def test_composite_eta_maps_to_the_layer_coordinate_and_scales(cset1):
+    eps = 0.1
+    # inside the window, left of it (y < -20 from r = 1.5 on), and both at once
+    for x in (np.array([0.0, 0.5, 0.9, 1.0, 1.2]), np.array([1.5, 2.0, 2.4]),
+              np.linspace(0.0, 2.5, 41)):
+        np.testing.assert_array_equal(
+            composite_eta(cset1, eps, x),
+            eps ** (1.0 / 3.0) * composite_nu(cset1, eps, to_boundary_layer(x, eps)))
+    for x in (0.9, 2.0):
+        value = composite_eta(cset1, eps, x)
+        assert type(value) is float
+        assert value == eps ** (1.0 / 3.0) * composite_nu(cset1, eps, to_boundary_layer(x, eps))
+
+
 def test_composite_eta_rejects_coordinates_beyond_profile_grid(cset1):
     with pytest.raises(ValueError, match="beyond the profile grid"):
         composite_eta(cset1, 0.003, 0.0)
@@ -166,7 +180,7 @@ def test_nan_coordinates_raise_the_named_error(sol, cset1):
     # every comparison with NaN is False, so only an inside test rejects it
     with pytest.raises(ValueError, match="outside the solution grid"):
         sol.interp_nu0(np.nan)
-    with pytest.raises(ValueError, match="outside the solution grid"):
+    with pytest.raises(ValueError, match="beyond the profile grid"):
         composite_nu(cset1, 0.1, np.nan)
     with pytest.raises(ValueError, match="beyond the profile grid"):
         composite_eta(cset1, 0.1, np.nan)
@@ -244,6 +258,13 @@ def test_remainder_study_needs_two_eps(cset1):
     # a repeated eps is the ladder's rule, raised before anything is solved
     with pytest.raises(ValueError, match="distinct"):
         remainder_study(_remainder_ladder(cset1, (0.1, 0.1)))
+
+
+def test_remainder_study_rejects_a_repeated_eps(gs1_eps01):
+    # log(1) / log(1) would make the pair order NaN, with a RuntimeWarning
+    with pytest.raises(ValueError, match="^remainder study needs distinct eps values, "
+                                         "got \\(0.1, 0.1\\)$"):
+        remainder_study([gs1_eps01, gs1_eps01])
 
 
 def test_remainder_study_tabulates_given_states_without_solving(gs1_eps01, cset1, monkeypatch):

@@ -1,5 +1,6 @@
-"""The CI workflow stays in step with the repository: its Python floor, its smoke run
-and its test command.  The workflow is read as text: PyYAML is not a dev dependency."""
+"""The CI workflow stays in step with the repository: its Python and dependency floors,
+its smoke run and its test command.  The workflow is read as text: PyYAML is not a dev
+dependency."""
 
 import re
 from pathlib import Path
@@ -36,3 +37,14 @@ def test_pytest_step_runs_the_tier1_command():
     tier1 = re.search(r"^\*\*Tier-1 verify:\*\* `(.*)`$", (ROOT / "ROADMAP.md").read_text(),
                       re.MULTILINE)[1]
     assert _step_run("Tier-1 tests").strip() == tier1
+
+
+def test_floor_job_installs_the_declared_dependency_floors():
+    declared = dict(re.findall(r'^\s*"(numpy|scipy)>=([\d.]+)",$',
+                               (ROOT / "pyproject.toml").read_text(), re.MULTILINE))
+    pinned = dict(re.findall(r'"(numpy|scipy)==([\d.]+)\.\*"',
+                             _step_run("Install the declared numpy and scipy floors")))
+    assert set(declared) == {"numpy", "scipy"} and pinned == declared
+    # the floors go in before the package, whose install then keeps them
+    text = WORKFLOW.read_text()
+    assert text.index("numpy==") < text.index('pip install -e ".[dev]"')
