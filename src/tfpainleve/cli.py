@@ -19,9 +19,10 @@ import numpy as np
 
 from ._io import format_float, write_csv, write_lines
 from .corrections import build_corrections, check_expansion
+from .grids import check_positive
 from .groundstate import (check_ground_state, check_remainder_eps, energy, eps_ladder,
                           ground_state_ladder, remainder_study)
-from .painleve import assemble_M0, check_tol, check_window, solve_hastings_mcleod
+from .painleve import assemble_M0, check_window, solve_hastings_mcleod
 from .semiclassics import bs_eigenvalue, check_layer_levels, check_levels, from_solution
 from .spectrum import check_d1, eig_smallest, scaling_study
 
@@ -108,7 +109,7 @@ def validate_config(cfg: dict, command: str | None = None) -> None:
         check_levels(cfg["bs_levels"])
         if command in ("bs", "study"):
             check_layer_levels(cfg["bs_levels"])
-        check_tol(cfg["gs_tol"], "gs_tol")
+        check_positive(cfg["gs_tol"], "gs_tol")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     # the labels name the per-eps CSV files and summary keys

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from ._io import write_csv
-from .grids import (UniformSpline, check_eps, first_difference, record, second_difference,
+from .grids import (UniformSpline, check_positive, first_difference, record, second_difference,
                     solve_tridiagonal)
 from .painleve import LAYER_WINDOW, PainleveSolution, assemble_M0, tail_minus
 
@@ -174,7 +174,7 @@ def composite_nu(cset: CorrectionSet, eps: float, y):
     it: ``tail_minus``, the decaying tail of nu_0; right of it, and NaN: a
     ValueError.  Scalars in give floats out.
     """
-    check_eps(eps)
+    check_positive(eps, "eps")
     scalar = np.ndim(y) == 0
     y = np.atleast_1d(np.asarray(y, dtype=float))
     grid = cset.profile.grid
@@ -186,11 +186,9 @@ def composite_nu(cset: CorrectionSet, eps: float, y):
         )
     out = np.empty_like(y)
     inside = y >= grid.a
-    if np.any(inside):
-        total, *terms = cset._spline(y[inside])
-        for n, term in enumerate(terms, start=1):
-            total = total + eps ** (2.0 * n / 3.0) * term
-        out[inside] = total
-    if not np.all(inside):
-        out[~inside] = tail_minus(y[~inside])
+    total, *terms = cset._spline(y[inside])
+    for n, term in enumerate(terms, start=1):
+        total = total + eps ** (2.0 * n / 3.0) * term
+    out[inside] = total
+    out[~inside] = tail_minus(y[~inside])
     return float(out[0]) if scalar else out

@@ -46,8 +46,8 @@ class SingularPivotError(ValueError):
         super().__init__(f"singular pivot at elimination index {index}")
 
 
-# record field annotations, as strings (postponed evaluation) or types: True for a tuple of arrays
-_ARRAY_FIELDS = {"np.ndarray": False, np.ndarray: False, "tuple": True, tuple: True}
+# record field annotations, strings since every module postpones them: True for a tuple of arrays
+_ARRAY_FIELDS = {"np.ndarray": False, "tuple": True}
 
 
 def record(cls):
@@ -146,6 +146,14 @@ class TridiagonalOperator:
     @property
     def n(self) -> int:
         return self.diag.size
+
+    @property
+    def norm(self) -> float:
+        """The infinity-norm: the largest row sum |diag[i]| + (|sup[i]| + |sub[i-1]|)."""
+        off = np.zeros(self.n)
+        off[:-1] = np.abs(self.sup)
+        off[1:] += np.abs(self.sub)
+        return float((np.abs(self.diag) + off).max())
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The product with an (n,) vector, or with each column of an (n, k) block."""
@@ -291,15 +299,15 @@ def first_difference(values: np.ndarray, grid: Grid1D) -> np.ndarray:
     return out
 
 
-def check_eps(eps: float) -> None:
-    """ValueError unless eps, the scale of the layer map, is finite and positive."""
-    if not 0.0 < eps < np.inf:  # NaN fails this too
-        raise ValueError(f"eps must be finite and positive, got {eps}")
+def check_positive(value: float, name: str) -> None:
+    """ValueError unless ``value``, called ``name`` in the message, is finite and positive."""
+    if not 0.0 < value < np.inf:  # NaN fails this too
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def to_boundary_layer(x, eps: float):
     """Map trap coordinate x to the stretched layer coordinate y = (1 - x^2) / eps^(2/3)."""
-    check_eps(eps)
+    check_positive(eps, "eps")
     x = np.asarray(x, dtype=float)
     y = (1.0 - x * x) / eps ** (2.0 / 3.0)
     return y if y.ndim else float(y)

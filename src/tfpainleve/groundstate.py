@@ -16,7 +16,7 @@ import numpy as np
 
 from ._io import write_csv
 from .corrections import CorrectionSet, check_dimension, composite_nu, loglog_slope
-from .grids import (Grid1D, TridiagonalOperator, check_eps, first_difference, record,
+from .grids import (Grid1D, TridiagonalOperator, check_positive, first_difference, record,
                     to_boundary_layer, uniform_grid)
 from .painleve import LAYER_WINDOW, ConvergenceError, damped_newton
 
@@ -47,7 +47,7 @@ def default_grid(eps: float, nodes_per_layer: int = 40) -> Grid1D:
     r_max lies past the decay region beyond r = 1; each layer width eps^(2/3)
     gets ``nodes_per_layer`` nodes, and the grid at least 201.
     """
-    check_eps(eps)
+    check_positive(eps, "eps")
     width = eps ** (2.0 / 3.0)
     r_max = max(2.5, 1.0 + 6.0 * width)
     n = max(int(math.ceil(r_max * nodes_per_layer / width)) + 1, 201)
@@ -184,8 +184,7 @@ def energy_of(eps: float, dimension: int, grid: Grid1D, eta: np.ndarray) -> floa
     r = grid.nodes
     deta = first_difference(eta, grid)
     density = eps * eps * deta**2 + (r * r - 1.0) * eta * eta + 0.5 * eta**4
-    weight = np.ones_like(r) if dimension == 1 else r ** (dimension - 1)
-    total = np.trapezoid(density * weight, r)
+    total = np.trapezoid(density * r ** (dimension - 1), r)
     if dimension == 2:
         total += grid.spacing**2 / 12.0 * density[0]
     return float(_SURFACE[dimension] * total)

@@ -11,33 +11,18 @@ spectrum; the ``damped_newton`` kernel also serves the ground-state solve.
 
 from __future__ import annotations
 
-import math
 import warnings
 from functools import cached_property
 
 import numpy as np
 
 from ._io import write_csv
-from .grids import (Grid1D, TridiagonalOperator, UniformSpline, first_difference, record,
-                    solve_tridiagonal, uniform_grid)
+from .grids import (Grid1D, TridiagonalOperator, UniformSpline, check_positive, first_difference,
+                    record, solve_tridiagonal, uniform_grid)
 
 
 class ConvergenceError(RuntimeError):
     """Raised when a damped Newton iteration fails to reach its tolerance."""
-
-
-def check_tol(tol, name: str = "tol") -> None:
-    """ValueError unless the Newton tolerance is finite and positive; ``name`` labels it."""
-    if not math.isfinite(tol):
-        raise ValueError(f"{name} must be finite, got {tol}")
-    if not tol > 0.0:
-        raise ValueError(f"{name} must be positive, got {tol}")
-
-
-def _rounding_floor(jac: TridiagonalOperator, x: np.ndarray) -> float:
-    """2 eps_mach ||J||_inf ||x||_inf, the residual level that rounding alone leaves at x."""
-    rows = np.abs(jac.diag) + np.pad(np.abs(jac.sub), (1, 0)) + np.pad(np.abs(jac.sup), (0, 1))
-    return 2.0 * np.finfo(float).eps * float(rows.max()) * float(np.abs(x).max())
 
 
 def damped_newton(residual, jacobian, x0, tol, budget, what="Newton"):
@@ -46,13 +31,14 @@ def damped_newton(residual, jacobian, x0, tol, budget, what="Newton"):
     ``jacobian(x)`` returns the Jacobian of ``residual`` at ``x`` as a
     ``TridiagonalOperator``; at most ``budget`` steps are taken.  When the full
     step does not lower the max-norm residual and that residual is at or below
-    ``_rounding_floor`` of the Jacobian just solved with, the iteration ends at
-    once as converged: halving would only re-evaluate the iterate.  Otherwise the
-    step is halved up to 40 times; if none lowers the residual the iteration
-    ends with a ``ConvergenceError``.  ``tol`` must pass ``check_tol``.
+    the rounding floor 2 eps_mach ||J||_inf ||x||_inf (J the Jacobian just
+    solved with, ||J||_inf its ``norm``), the level that rounding alone leaves
+    at x, the iteration ends at once as converged: halving would only
+    re-evaluate the iterate.  Otherwise the step is halved up to 40 times; if
+    none lowers the residual the iteration ends with a ``ConvergenceError``.  ``tol`` must be finite and positive.
     Returns (x, residual max-norm, iterations).
     """
-    check_tol(tol)
+    check_positive(tol, "tol")
     x = x0
     res = residual(x)
     rnorm = float(np.abs(res).max())
@@ -71,7 +57,7 @@ def damped_newton(residual, jacobian, x0, tol, budget, what="Newton"):
             cnorm = float(np.abs(cres).max())
             if cnorm < rnorm:
                 break
-            if halving == 0 and rnorm <= _rounding_floor(jac, x):
+            if halving == 0 and rnorm <= 2.0 * np.finfo(float).eps * jac.norm * np.abs(x).max():
                 return x, rnorm, iterations
             step *= 0.5
         else:

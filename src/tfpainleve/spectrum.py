@@ -23,7 +23,7 @@ from .groundstate import GroundState, trap_operator
 from .painleve import ConvergenceError
 
 _POSITIVE_TAGS = ("M0", "LplusNeumann", "LplusDirichlet")
-# dstebz's first-pass bisection width, relative to the Gershgorin scale
+# dstebz's first-pass bisection width, relative to the operator's infinity-norm
 _BISECTION_TOL = 1e-10
 
 
@@ -107,32 +107,28 @@ def eig_smallest(op: TridiagonalOperator, k: int, label: str = "generic") -> Spe
     LAPACK dstebz bisects Sturm counts for the eigenvalues and dstein supplies
     the eigenvectors by inverse iteration, reorthogonalizing clusters, so
     exponentially close double-well pairs are still resolved.  Each returned
-    pair must have residual |A u - lambda u| <= 64 eps_mach times the
-    Gershgorin scale; the reported eigenvalue is the Rayleigh quotient of its
-    vector, which may drift from the bisection value by at most 1e-8 times
-    that scale.  Each vector's largest-magnitude entry is positive.
+    pair must have residual |A u - lambda u| <= 64 eps_mach ||A||_inf
+    (``op.norm``); the reported eigenvalue is the Rayleigh quotient of its
+    vector, which may drift from the bisection value by at most 1e-8 ||A||_inf.
+    Each vector's largest-magnitude entry is positive.
 
-    Bisection stops at width _BISECTION_TOL times the scale: the Rayleigh
+    Bisection stops at width _BISECTION_TOL ||A||_inf: the Rayleigh
     quotient's error is quadratic in the vector's, so it supplies the last
     digits.  If any pair fails either gate, the solve is repeated once with
     bisection to full precision (abstol 0), and only that pass may raise.
     """
     if not np.array_equal(op.sub, op.sup):
         raise ValueError("eig_smallest needs a symmetric operator")
-    n = op.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k = {k} out of range for operator size {n}")
-    rad = np.zeros(n)
-    rad[:-1] += np.abs(op.sub)
-    rad[1:] += np.abs(op.sub)
-    scale = max(abs(float(np.min(op.diag - rad))), abs(float(np.max(op.diag + rad))))
-    if scale == 0.0:
+    if not 1 <= k <= op.n:
+        raise ValueError(f"k = {k} out of range for operator size {op.n}")
+    norm = op.norm
+    if norm == 0.0:
         raise ValueError("zero operator")
-    if not np.isfinite(scale):
+    if not np.isfinite(norm):
         raise ValueError("operator has non-finite entries")
-    res_tol = 64.0 * np.finfo(float).eps * scale
-    drift_tol = 1e-8 * scale
-    for abstol in (_BISECTION_TOL * scale, 0.0):
+    res_tol = 64.0 * np.finfo(float).eps * norm
+    drift_tol = 1e-8 * norm
+    for abstol in (_BISECTION_TOL * norm, 0.0):
         approx, vecs = _tridiagonal_pairs(op.diag, op.sub, k, abstol)
         # a row-major block, so the product, quotients and residuals sum in the
         # order of one op.apply per column

@@ -22,7 +22,7 @@ def profile_floor():
     def floor(solution):
         h, v = solution.grid.spacing, solution.nu0[1:-1]
         jac = painleve.layer_operator(h, 3.0 * v * v - solution.grid.nodes[1:-1])
-        return painleve._rounding_floor(jac, v)
+        return 2.0 * np.finfo(float).eps * jac.norm * np.abs(v).max()
 
     return floor
 

@@ -149,7 +149,7 @@ def test_study_with_one_eps_is_exit_1_before_anything_is_written(tmp_path, capsy
         ("eps", (0.1, 0.1), "distinct"),
         ("bs_levels", (2, 1, 2), "distinct"),
         ("eps", (0.1, 0.1000001), "distinct 6-digit labels"),
-        ("gs_tol", -1.0, "gs_tol must be positive, got -1.0"),
+        ("gs_tol", -1.0, "gs_tol must be finite and positive, got -1.0"),
     ],
 )
 def test_validate_config_rejects(key, value, fragment):
@@ -223,7 +223,7 @@ def test_main_bad_config_is_exit_1(tmp_path, capsys):
     # each message is the rule of the module that owns the key
     "line, message",
     [
-        ("gs_tol = inf", "gs_tol must be finite, got inf"),
+        ("gs_tol = inf", "gs_tol must be finite and positive, got inf"),
         ("eps = nan", "eps values must lie in (0, 0.5], got nan"),
         ("eps = 0.1, inf", "eps values must lie in (0, 0.5], got inf"),
     ],

@@ -6,6 +6,8 @@ from oracles import dense
 from tfpainleve import (
     Grid1D,
     SingularPivotError,
+    assemble_Lplus,
+    assemble_M0,
     first_difference,
     second_difference,
     solve_tridiagonal,
@@ -90,6 +92,33 @@ def test_tridiagonal_apply_rejects_a_mismatched_operand(shape):
     op = TridiagonalOperator(np.ones(16), np.ones(17), np.ones(16))
     with pytest.raises(ValueError, match="does not match operator size 17"):
         op.apply(np.ones(shape))
+
+
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_tridiagonal_norm_is_the_dense_infinity_norm(rng, n):
+    for _ in range(50):
+        op = TridiagonalOperator(
+            rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1)
+        )
+        assert op.norm == pytest.approx(np.linalg.norm(dense(op), np.inf), rel=1e-15)
+
+
+def _gershgorin(op):
+    """The scale eig_smallest once took: max(|min(d - rad)|, |max(d + rad)|)."""
+    rad = np.zeros(op.n)
+    rad[:-1] += np.abs(op.sub)
+    rad[1:] += np.abs(op.sub)
+    return max(abs(float(np.min(op.diag - rad))), abs(float(np.max(op.diag + rad))))
+
+
+def test_symmetric_norm_is_the_gershgorin_scale_bit_for_bit(rng, sol, gs1_eps01):
+    ops = [assemble_M0(sol), assemble_Lplus(gs1_eps01, "Neumann"),
+           assemble_Lplus(gs1_eps01, "Dirichlet")]
+    for n in rng.integers(1, 400, size=500):
+        off, diag = rng.standard_normal(n - 1), rng.standard_normal(n)
+        ops.append(TridiagonalOperator(off, diag * 10.0 ** rng.uniform(-3, 3), off))
+    for op in ops:
+        assert op.norm == _gershgorin(op)
 
 
 def test_singular_pivot_reported():

@@ -22,7 +22,7 @@ from oracles import thomas_fermi
 from tfpainleve import cli, groundstate
 from tfpainleve.cli import main
 from tfpainleve.corrections import composite_nu
-from tfpainleve.groundstate import check_remainder_eps, ground_state_ladder
+from tfpainleve.groundstate import check_remainder_eps, ground_state_ladder, trap_operator
 
 
 def test_thomas_fermi_energy_matches_symbolic_quadrature():
@@ -102,6 +102,38 @@ def test_interior_convergence_rate(cset2):
     assert sups[0] > sups[1] > sups[2]
     order = np.log(sups[1] / sups[2]) / np.log(2.0)
     assert order == pytest.approx(2.0, abs=0.3)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("eps", [0.1, 0.3])
+def test_radial_assembly_converges_to_the_oscillator_levels(d, eps):
+    # at eta = 0, L+ + 1 is -eps^2 Laplacian + r^2, whose radial levels are
+    # eps (d + 4n) at every eps: the origin rows must keep the O(h^2) rate
+    defects = []
+    for nodes_per_layer in (40, 80):
+        grid = default_grid(eps, nodes_per_layer)
+        op = oracles.dense(trap_operator(eps, d, grid, np.zeros(grid.n - 1)))
+        levels = np.sort(np.linalg.eigvals(op + np.eye(grid.n - 1)).real)[:4]
+        defects.append(levels / (eps * (d + 4.0 * np.arange(4))) - 1.0)
+    assert np.all(defects[0] < 0.0) and np.all(np.abs(defects[0]) < 3e-4)
+    assert np.all((3.9 <= defects[0] / defects[1]) & (defects[0] / defects[1] <= 4.1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("eps", [0.2, 0.05])
+def test_virial_identity_defect_is_second_order(cset1, cset2, cset3, d, eps):
+    # with M, V, I the r^(d-1)-weighted integrals of eta^2, r^2 eta^2 and
+    # eta^4, the exact state has M = 2 V + (1 - d/4) I: the trapezoid defect
+    # must fall by 4 when the nodes per layer double
+    cset = {1: cset1, 2: cset2, 3: cset3}[d]
+    defects = []
+    for nodes_per_layer in (40, 80):
+        gs = solve_ground_state(eps, cset, tol=1e-12, nodes_per_layer=nodes_per_layer)
+        r, eta = gs.grid.nodes, gs.eta
+        mass, trap, quartic = (np.trapezoid(f * r ** (d - 1), r)
+                               for f in (eta**2, r * r * eta**2, eta**4))
+        defects.append((mass - 2.0 * trap - (1.0 - d / 4.0) * quartic) / mass)
+    assert defects[0] / defects[1] == pytest.approx(4.0, abs=0.1)
 
 
 def test_composite_seed_beats_smoothed_guess_error(sol, cset1):
@@ -229,11 +261,12 @@ def test_tolerance_below_the_rounding_floor_ends_on_the_floor(sol, cset1, cset2,
     np.testing.assert_allclose(fine.eta, coarse.eta, rtol=0.0, atol=1e-8)
 
 
-@pytest.mark.parametrize(("tol", "fragment"), [(0.0, "positive"), (-1.0, "positive"),
-                                               (np.nan, "finite")])
-def test_solve_rejects_a_tolerance_that_is_not_positive_and_finite(cset1, tol, fragment):
+# one message for every value; the ids name the half of the rule each value breaks
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan],
+                         ids=["0.0-positive", "-1.0-positive", "nan-finite"])
+def test_solve_rejects_a_tolerance_that_is_not_positive_and_finite(cset1, tol):
     # tol = NaN used to return the unconverged seed, since rnorm > NaN is False
-    with pytest.raises(ValueError, match=f"tol must be {fragment}, got {tol}"):
+    with pytest.raises(ValueError, match=f"tol must be finite and positive, got {tol}"):
         solve_ground_state(0.1, cset1, tol=tol)
 
 

@@ -88,6 +88,21 @@ def test_eigenpairs_match_eigh_tridiagonal(sol, gs1_eps01):
                                    atol=4.0 * np.finfo(float).eps * scale)
 
 
+def test_first_bisection_width_is_a_fraction_of_the_norm(monkeypatch, sol, gs1_eps01):
+    exact = grids_module.lapack.dstebz
+    abstols = []
+
+    def spy(*args):
+        abstols.append(args[7])  # after d, e, range, vl, vu, il, iu
+        return exact(*args)
+
+    monkeypatch.setattr(grids_module.lapack, "dstebz", spy)
+    for op, k, label in _operators(sol, gs1_eps01):
+        abstols.clear()
+        eig_smallest(op, k, label)
+        assert abstols[0] == spectrum_module._BISECTION_TOL * op.norm
+
+
 def test_solve_tridiagonal_is_dgtsv(rng, monkeypatch):
     n = 300
     op = TridiagonalOperator(rng.random(n - 1) - 0.5, 2.0 + rng.random(n), rng.random(n - 1) - 0.5)

@@ -157,13 +157,14 @@ def test_coarsest_admissible_grid_has_spacing_below_0_0301():
     assert coarse.grid.spacing <= 0.0301
 
 
-@pytest.mark.parametrize(("tol", "fragment"), [(0.0, "positive"), (-1.0, "positive"),
-                                               (np.nan, "finite")])
-def test_solve_rejects_a_tolerance_that_is_not_positive_and_finite(tol, fragment):
+# one message for every value; the ids name the half of the rule each value breaks
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan],
+                         ids=["0.0-positive", "-1.0-positive", "nan-finite"])
+def test_solve_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
     # the Newton kernel's own rule: without it tol = 0 and tol < 0 ended as converged
     # at the rounding floor
     residual, jacobian = _chain(np.linspace(-3.0, 5.0, 9))
-    with pytest.raises(ValueError, match=f"tol must be {fragment}, got {tol}"):
+    with pytest.raises(ValueError, match=f"tol must be finite and positive, got {tol}"):
         damped_newton(residual, jacobian, np.zeros(9), tol, 50)
 
 

@@ -48,3 +48,12 @@ def test_floor_job_installs_the_declared_dependency_floors():
     # the floors go in before the package, whose install then keeps them
     text = WORKFLOW.read_text()
     assert text.index("numpy==") < text.index('pip install -e ".[dev]"')
+
+
+def test_benchmark_step_checks_seeds_0_and_1():
+    # seed 0 keeps the reference eps; only a jittered seed exercises the {eps:g} labels
+    run = _step_run("Benchmark smoke run")
+    seeds = re.findall(r"^\s*python3 perfbench/run\.py --workload all --seed (\d+) ", run,
+                       re.MULTILINE)
+    checks = re.findall(r'perfbench_(\d+)\.out" \| python3 -c .*\["correct"\] is True', run)
+    assert seeds == ["0", "1"] and checks == seeds
